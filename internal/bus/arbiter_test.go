@@ -2,7 +2,12 @@ package bus
 
 import (
 	"testing"
+
+	"github.com/busnet/busnet/internal/topo"
 )
+
+// The arbitration policies live in internal/topo, the one event model;
+// they are pinned here, beside the flat Config whose Arbiter they fill.
 
 func TestRoundRobinArbiter(t *testing.T) {
 	tests := []struct {
@@ -54,7 +59,7 @@ func TestRoundRobinArbiter(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			a := NewRoundRobin()
+			a := topo.NewRoundRobin()
 			for i, pending := range tt.pending {
 				if got := a.Select(pending); got != tt.want[i] {
 					t.Fatalf("call %d: Select(%v) = %d, want %d", i, pending, got, tt.want[i])
@@ -74,7 +79,7 @@ func TestFixedPriorityArbiter(t *testing.T) {
 		{"zero dominates", []bool{true, true, true, true}, 0},
 		{"last only", []bool{false, false, false, true}, 3},
 	}
-	a := NewFixedPriority()
+	a := topo.NewFixedPriority()
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if got := a.Select(tt.pending); got != tt.want {
@@ -84,9 +89,9 @@ func TestFixedPriorityArbiter(t *testing.T) {
 	}
 }
 
-func mustWRR(t testing.TB, weights ...int) *WeightedRoundRobinArbiter {
+func mustWRR(t testing.TB, weights ...int) *topo.WeightedRoundRobinArbiter {
 	t.Helper()
-	a, err := NewWeightedRoundRobin(weights)
+	a, err := topo.NewWeightedRoundRobin(weights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +108,7 @@ func TestNewWeightedRoundRobinRejects(t *testing.T) {
 		{"negative weight", []int{3, -1}},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewWeightedRoundRobin(tt.weights); err == nil {
+			if _, err := topo.NewWeightedRoundRobin(tt.weights); err == nil {
 				t.Fatal("invalid weights accepted")
 			}
 		})
@@ -197,7 +202,7 @@ func TestWeightedRoundRobinWorkConserving(t *testing.T) {
 // "round-robin" are the same policy, not merely similar.
 func TestWeightedAllOnesIdenticalToRoundRobin(t *testing.T) {
 	const n = 7
-	rr := NewRoundRobin()
+	rr := topo.NewRoundRobin()
 	wrr := mustWRR(t, []int{1, 1, 1, 1, 1, 1, 1}...)
 	// Deterministic pseudo-random pending patterns, always ≥ 1 pending.
 	state := uint64(0x9E3779B97F4A7C15)
@@ -239,7 +244,7 @@ func TestWeightedRoundRobinStations(t *testing.T) {
 }
 
 func TestArbiterPanicsWithNothingPending(t *testing.T) {
-	for _, a := range []Arbiter{NewRoundRobin(), NewFixedPriority(), mustWRR(t, 1, 1)} {
+	for _, a := range []topo.Arbiter{topo.NewRoundRobin(), topo.NewFixedPriority(), mustWRR(t, 1, 1)} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -261,10 +266,10 @@ func BenchmarkArbitrationRound(b *testing.B) {
 	}
 	benches := []struct {
 		name string
-		a    Arbiter
+		a    topo.Arbiter
 	}{
-		{"round-robin-16", NewRoundRobin()},
-		{"fixed-priority-16", NewFixedPriority()},
+		{"round-robin-16", topo.NewRoundRobin()},
+		{"fixed-priority-16", topo.NewFixedPriority()},
 		{"weighted-round-robin-16", mustWRR(b, weights...)},
 	}
 	pending := make([]bool, 16)

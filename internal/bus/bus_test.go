@@ -83,7 +83,8 @@ func TestUnbufferedSingleOutstanding(t *testing.T) {
 }
 
 // A finite buffer bounds outstanding requests to cap (queued) + 1
-// stalled + 1 in service.
+// stalled + 1 in service; the interface queue itself is pinned at cap
+// by the fabric's own test of the same name.
 func TestBufferedFiniteCapRespected(t *testing.T) {
 	const capacity = 2
 	cfg := Config{
@@ -92,25 +93,17 @@ func TestBufferedFiniteCapRespected(t *testing.T) {
 	}
 	n, eng := newTestNetwork(t, cfg, 11)
 	n.Start()
-	sawStall := false
 	for step := 0; step < 300; step++ {
 		if err := eng.RunUntil(eng.Now() + 0.5); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < cfg.Processors; i++ {
-			if q := n.queues[i].len(); q > capacity {
-				t.Fatalf("t=%v: processor %d queue length %d exceeds cap %d",
-					eng.Now(), i, q, capacity)
-			}
 			if c := n.Outstanding(i); c > capacity+2 {
 				t.Fatalf("t=%v: processor %d outstanding %d exceeds cap+2", eng.Now(), i, c)
 			}
-			if !math.IsNaN(n.stalled[i]) {
-				sawStall = true
-			}
 		}
 	}
-	if !sawStall {
+	if n.Counters().Stalls == 0 {
 		t.Fatal("saturating workload never stalled a processor; test is not exercising backpressure")
 	}
 }
@@ -440,7 +433,6 @@ func TestBufferedFiniteStallConservation(t *testing.T) {
 			}
 			n, eng := newTestNetwork(t, cfg, 29)
 			n.Start()
-			sawStall := false
 			for step := 0; step < 200; step++ {
 				if err := eng.RunUntil(eng.Now() + 25); err != nil {
 					t.Fatal(err)
@@ -455,9 +447,6 @@ func TestBufferedFiniteStallConservation(t *testing.T) {
 						t.Fatalf("t=%v: processor %d outstanding %d exceeds cap+1+m", eng.Now(), i, c)
 					}
 					inFlight += c
-					if !math.IsNaN(n.stalled[i]) {
-						sawStall = true
-					}
 				}
 				if m.Issued != m.Completions+uint64(inFlight) {
 					t.Fatalf("t=%v: issued %d != completions %d + outstanding %d (stall accounting leak)",
@@ -472,7 +461,7 @@ func TestBufferedFiniteStallConservation(t *testing.T) {
 						eng.Now(), sum/float64(buses), m.Utilization)
 				}
 			}
-			if !sawStall {
+			if n.Counters().Stalls == 0 {
 				t.Fatal("saturating workload never stalled a processor; churn not exercised")
 			}
 		})

@@ -3,11 +3,10 @@ package topo
 import (
 	"testing"
 
-	"github.com/busnet/busnet/internal/bus"
 	"github.com/busnet/busnet/internal/sim"
 )
 
-// loadedTandem is the topology twin of the bus package's steady-state
+// loadedTandem is the bridged twin of the single-bus steady-state
 // fixture: a loaded 16-station buffered segment feeding a memory
 // segment over a finite bridge, so a steady-state window exercises
 // arbitration, bridge queueing, blocking-after-service, and release on
@@ -16,7 +15,7 @@ func loadedTandem() Config {
 	return Config{
 		Segments: []SegmentConfig{
 			{Name: "cpu", ServiceRate: 1, Stations: 16, ThinkRate: 0.06,
-				Mode: bus.Buffered, BufferCap: 8, Route: []int{1}},
+				Mode: Buffered, BufferCap: 8, Route: []int{1}},
 			{Name: "mem", ServiceRate: 1},
 		},
 		Links: []LinkConfig{{From: 0, To: 1, Depth: 4}},

@@ -1,4 +1,4 @@
-package bus
+package topo
 
 import "fmt"
 
@@ -46,7 +46,7 @@ func (a *RoundRobinArbiter) Select(pending []bool) int {
 			return i
 		}
 	}
-	panic("bus: Select called with no pending request")
+	panic("topo: Select called with no pending request")
 }
 
 // Name implements Arbiter.
@@ -74,11 +74,11 @@ type WeightedRoundRobinArbiter struct {
 // requires one weight ≥ 1 per processor; the weight slice is copied in.
 func NewWeightedRoundRobin(weights []int) (*WeightedRoundRobinArbiter, error) {
 	if len(weights) == 0 {
-		return nil, fmt.Errorf("bus: weighted round-robin needs at least one weight")
+		return nil, fmt.Errorf("topo: weighted round-robin needs at least one weight")
 	}
 	for i, w := range weights {
 		if w < 1 {
-			return nil, fmt.Errorf("bus: weight[%d] = %d, need ≥ 1", i, w)
+			return nil, fmt.Errorf("topo: weight[%d] = %d, need ≥ 1", i, w)
 		}
 	}
 	return &WeightedRoundRobinArbiter{
@@ -113,7 +113,7 @@ func (a *WeightedRoundRobinArbiter) Select(pending []bool) int {
 			return i
 		}
 	}
-	panic("bus: Select called with no pending request")
+	panic("topo: Select called with no pending request")
 }
 
 // Name implements Arbiter.
@@ -144,7 +144,7 @@ func (a *FixedPriorityArbiter) Select(pending []bool) int {
 			return i
 		}
 	}
-	panic("bus: Select called with no pending request")
+	panic("topo: Select called with no pending request")
 }
 
 // Name implements Arbiter.

@@ -1,12 +1,16 @@
-// Package topo generalizes internal/bus from one arbitration point to a
-// directed acyclic fabric of bus segments connected by bridges. Each
-// segment is a multi-bus arbitration point exactly like bus.Network —
-// same arbiters, same queueing modes, same statistics — but its
-// claimants are both its local stations and the bridges delivering
-// traffic from upstream segments. A request issued by a station follows
-// its segment's route hop by hop: it is arbitrated onto a bus of the
+// Package topo is busnet's discrete-event model: a directed acyclic
+// fabric of bus segments connected by bridges. Each segment is one
+// arbitration point in front of Buses identical buses, in either of the
+// source paper's two regimes: unbuffered, where a station blocks from
+// the moment it issues a request until the fabric has served it, and
+// buffered, where requests queue at the station's interface (finite or
+// unbounded capacity) and the station keeps computing. A segment's
+// claimants are its local stations and the bridges delivering traffic
+// from upstream segments. A request issued by a station follows its
+// segment's route hop by hop: it is arbitrated onto a bus of the
 // current segment, served, and handed through the connecting bridge
-// into the next segment's claimant queue.
+// into the next segment's claimant queue. The paper's single bus is the
+// one-segment fabric with no route.
 //
 // Bridges have their own finite buffers, and the fabric models
 // blocking-after-service (the tandem-blocking discipline): a bus that
@@ -16,28 +20,51 @@
 // Because the segment graph is acyclic (validated), the chain of
 // releases always terminates and the fabric cannot deadlock.
 //
-// Determinism mirrors internal/bus exactly: all randomness flows
-// through the single per-run RNG in a fixed order, so a fabric of one
-// segment reproduces bus.Network's event trajectory bit for bit — the
-// golden tests in pkg/busnet pin this. Per-segment metrics carry the
-// same fields as bus.Metrics plus the time-averaged blocked-bus
-// fraction; per-flow metrics add end-to-end (issue → fabric exit)
-// response statistics for every station-bearing segment.
+// All randomness flows through the single per-run RNG in a fixed
+// order, so a run is deterministic in (Config, seed, stream); the
+// golden tests in pkg/busnet pin the one-segment trajectory bit for
+// bit. Per-segment metrics carry utilization, queue, wait and response
+// statistics plus the time-averaged blocked-bus fraction; per-flow
+// metrics add end-to-end (issue → fabric exit) response statistics for
+// every station-bearing segment.
 package topo
 
 import (
 	"fmt"
 	"math"
 
-	"github.com/busnet/busnet/internal/bus"
 	"github.com/busnet/busnet/internal/servdist"
 	"github.com/busnet/busnet/internal/sim"
 	"github.com/busnet/busnet/internal/workload"
 )
 
+// Mode selects a station interface's regime, the paper's two.
+type Mode int
+
+const (
+	// Unbuffered blocks the issuing station until its request exits the
+	// fabric.
+	Unbuffered Mode = iota
+	// Buffered queues requests at the station interface so the station
+	// can continue thinking, up to BufferCap outstanding requests.
+	Buffered
+)
+
+// String implements fmt.Stringer.
+func (m Mode) String() string {
+	switch m {
+	case Unbuffered:
+		return "unbuffered"
+	case Buffered:
+		return "buffered"
+	default:
+		return fmt.Sprintf("Mode(%d)", int(m))
+	}
+}
+
 // Infinite marks an unbounded buffer — per-station interface queues and
 // bridge buffers alike.
-const Infinite = bus.Infinite
+const Infinite = -1
 
 // SegmentConfig describes one bus segment: an arbitration point with
 // Buses identical buses, local request-generating stations, and a route
@@ -49,28 +76,28 @@ type SegmentConfig struct {
 	Buses int
 	// ServiceRate is μ, the per-bus service rate.
 	ServiceRate float64
-	// Service optionally shapes the service time (nil → exponential at
-	// ServiceRate, the paper's model, with bus.Network's draw sequence).
+	// Service optionally shapes the service time, sampled once per
+	// dispatch (nil → exponential at ServiceRate, the paper's model).
 	Service servdist.Dist
 	// Arbiter picks the next claimant — local stations first (indices
 	// 0..Stations-1), then one claimant per inbound bridge in link
 	// order. Nil → round-robin. Sized arbiters must match that claimant
 	// count.
-	Arbiter bus.Arbiter
+	Arbiter Arbiter
 	// Stations is the number of local request-generating stations ≥ 0.
 	// Zero makes this a pure transit segment (a bridge hop).
 	Stations int
 	// ThinkRate is λ, each station's request rate while thinking.
 	ThinkRate float64
 	// Sources optionally shapes each station's request generation, one
-	// per station (nil → Poisson at ThinkRate with bus.Network's draw
-	// sequence).
+	// per station, consulted every time the station re-enters the
+	// thinking state (nil → Poisson at ThinkRate, the paper's model).
 	Sources []workload.Source
-	// Mode is the station-interface regime: bus.Unbuffered blocks the
+	// Mode is the station-interface regime: Unbuffered blocks the
 	// issuing station until its request exits the fabric (the multi-hop
-	// extension of the paper's blocking regime); bus.Buffered queues at
-	// the local interface up to BufferCap.
-	Mode bus.Mode
+	// extension of the paper's blocking regime); Buffered queues at the
+	// local interface up to BufferCap.
+	Mode Mode
 	// BufferCap is the per-station interface capacity in Buffered mode;
 	// Infinite for unbounded.
 	BufferCap int
@@ -104,8 +131,9 @@ type Config struct {
 	Segments []SegmentConfig
 	Links    []LinkConfig
 	// Quantiles enables per-hop wait/response histograms and per-flow
-	// end-to-end response histograms. Same contract as bus.Config: off
-	// by default, and toggling never changes the event trajectory.
+	// end-to-end response histograms. Off by default: each Histogram.Add
+	// sits on the dispatch or completion hot path. Histograms draw
+	// nothing from the RNG, so toggling never changes the trajectory.
 	Quantiles bool
 }
 
@@ -122,8 +150,8 @@ func (c Config) claimants(k int) int {
 }
 
 // Validate reports the first configuration error, or nil. Beyond the
-// per-segment checks bus.Config performs, it requires the link graph to
-// be a DAG (acyclicity is what guarantees blocking-after-service cannot
+// per-segment checks, it requires the link graph to be a DAG
+// (acyclicity is what guarantees blocking-after-service cannot
 // deadlock), every route to follow existing links, and every link and
 // transit segment to lie on at least one route.
 func (c Config) Validate() error {
@@ -168,10 +196,10 @@ func (c Config) Validate() error {
 					return fmt.Errorf("topo: segment %d: Sources[%d] is nil", k, i)
 				}
 			}
-			if s.Mode != bus.Unbuffered && s.Mode != bus.Buffered {
+			if s.Mode != Unbuffered && s.Mode != Buffered {
 				return fmt.Errorf("topo: segment %d: unknown mode %d", k, int(s.Mode))
 			}
-			if s.Mode == bus.Buffered && s.BufferCap != Infinite && s.BufferCap < 1 {
+			if s.Mode == Buffered && s.BufferCap != Infinite && s.BufferCap < 1 {
 				return fmt.Errorf("topo: segment %d: BufferCap = %d, need ≥ 1 or Infinite", k, s.BufferCap)
 			}
 		}
@@ -272,16 +300,37 @@ func (c Config) checkAcyclic() error {
 	return nil
 }
 
-// request is one in-flight transaction, pooled on the fabric. path is
-// shared with every request of its home segment; enqueuedAt is reset at
-// each hop (arrival into the current claimant queue) while issuedAt
-// keeps the original issue time for end-to-end response.
+// request is one in-flight transaction that crosses bridges, pooled on
+// the fabric. path is shared with every request of its home segment;
+// issuedAt keeps the original issue time for end-to-end response. The
+// time a request joined its current claimant queue lives in the queue
+// slot, not here (see reqRing). A standalone segment's requests never
+// leave it, and its queue and bus slots already hold their station and
+// times, so it uses no request objects: its slots carry a nil request.
 type request struct {
-	path       *path
-	local      int // station index within the home segment
-	hop        int // index into path.segs of the segment holding it
-	issuedAt   float64
-	enqueuedAt float64
+	path     *path
+	issuedAt float64
+	local    int32 // station index within the home segment
+	hop      int32 // index into path.segs of the segment holding it
+}
+
+// stall is a request issued at a full buffered-finite interface, held
+// at its station until the queue drains a slot. It joins the queue as
+// of its issue time at.
+type stall struct {
+	r    *request
+	at   float64
+	held bool
+}
+
+// busSlot is what a segment keeps about the request occupying one of
+// its buses. The completion path reads it here rather than chasing the
+// request.
+type busSlot struct {
+	r        *request
+	claimant int     // claimant queue the request was granted from; -1 while idle
+	start    float64 // dispatch time
+	enq      float64 // when the request joined that claimant queue
 }
 
 // path is the precomputed route of one home segment: the full segment
@@ -303,7 +352,7 @@ type link struct {
 }
 
 // blockedEntry identifies one blocked upstream bus; the held request is
-// seg.serving[b].
+// seg.onBus[b].r.
 type blockedEntry struct {
 	seg   *segment
 	b     int
@@ -319,8 +368,7 @@ func (l *link) hasSpace() bool {
 // queue. Callers kick the destination's dispatch when appropriate.
 func (l *link) advance(r *request, now float64) {
 	r.hop++
-	r.enqueuedAt = now
-	l.to.enqueue(l.claimant, r)
+	l.to.enqueue(l.claimant, r, now)
 	f := l.to.fab
 	f.crossings++
 	if f.probe != nil {
@@ -345,17 +393,15 @@ func (l *link) admitBlocked(now float64) {
 	if f := us.fab; f.probe != nil {
 		f.probe.BridgeRelease(now, l.idx, us.idx, b, now-e.since)
 	}
-	r := us.serving[b]
-	us.depart(b, r, now)
+	r := us.onBus[b].r
+	us.depart(b, now)
 	us.blocked--
 	us.blockedTW.Set(float64(us.blocked)/float64(us.nBuses), now)
 	l.advance(r, now)
 	us.tryDispatch()
 }
 
-// segment is the runtime state of one arbitration point — the fields
-// and update order mirror bus.Network so a single-segment fabric is
-// draw-for-draw identical to it.
+// segment is the runtime state of one arbitration point.
 type segment struct {
 	idx     int
 	cfg     SegmentConfig
@@ -366,17 +412,22 @@ type segment struct {
 	path    *path // nil for transit segments
 	sources []workload.Source
 	service servdist.Dist
-	arbiter bus.Arbiter
+	arbiter Arbiter
+	// standalone marks a station segment with no route and no inbound
+	// bridge, the paper's single bus: every request it serves is its
+	// own and exits on completion. Its queue and bus slots hold all a
+	// request needs, so it allocates no request objects, and its flow
+	// statistics are its hop statistics, not collected twice.
+	standalone bool
 
-	claimQ     []reqRing  // per-claimant FIFO: stations, then inbound bridges
-	pending    []bool     // claimQ[j] is nonempty
-	claimLink  []*link    // claimant j's inbound link, nil for local stations
-	stalled    []*request // Buffered finite: request held at a full interface
-	queued     int        // waiting requests across all claimant queues
-	busy       int        // buses occupied: serving or blocked-after-service
-	blocked    int        // buses held by a full downstream bridge
-	serving    []*request // per-bus request occupying it; nil when idle
-	servStart  []float64  // per-bus dispatch time of the occupying request
+	claimQ     []reqRing // per-claimant FIFO: stations, then inbound bridges
+	pending    []bool    // claimQ[j] is nonempty
+	inbound    []*link   // claimant Stations+i's inbound link
+	stalled    []stall   // Buffered finite only: per-station request held at a full interface
+	queued     int       // waiting requests across all claimant queues
+	busy       int       // buses occupied: serving or blocked-after-service
+	blocked    int       // buses held by a full downstream bridge
+	onBus      []busSlot // per-bus occupant
 	completeFn []func()
 	issueFn    []func()
 
@@ -391,19 +442,20 @@ type segment struct {
 	issued      uint64
 	completions uint64
 	grants      []uint64
-
-	// End-to-end flow statistics for requests issued here (station
-	// segments only): issue → fabric exit.
-	flowResp     sim.Tally
-	flowRespHist *sim.Histogram
-	flowDone     uint64
+	flow        *flowStats // station segments that are not standalone; nil otherwise
 }
 
-// Fabric is the simulated multi-segment system. Like bus.Network it is
-// not safe for concurrent use; all mutation happens inside engine
-// callbacks.
+// flowStats records the end-to-end (issue → fabric exit) response of
+// the requests issued at one station segment.
+type flowStats struct {
+	resp sim.Tally
+	hist *sim.Histogram
+	done uint64
+}
+
+// Fabric is the simulated system. It is not safe for concurrent use;
+// all mutation happens inside engine callbacks.
 type Fabric struct {
-	cfg        Config
 	eng        *sim.Engine
 	rng        *sim.RNG
 	segs       []*segment
@@ -424,20 +476,19 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f := &Fabric{cfg: cfg, eng: eng, rng: rng}
+	f := &Fabric{eng: eng, rng: rng}
 	now := eng.Now()
 	f.segs = make([]*segment, len(cfg.Segments))
 	for k, sc := range cfg.Segments {
 		s := &segment{
-			idx:       k,
-			cfg:       sc,
-			fab:       f,
-			eng:       eng,
-			rng:       rng,
-			nBuses:    sc.buses(),
-			serving:   make([]*request, sc.buses()),
-			servStart: make([]float64, sc.buses()),
-			busUtil:   make([]sim.TimeWeighted, sc.buses()),
+			idx:     k,
+			cfg:     sc,
+			fab:     f,
+			eng:     eng,
+			rng:     rng,
+			nBuses:  sc.buses(),
+			onBus:   make([]busSlot, sc.buses()),
+			busUtil: make([]sim.TimeWeighted, sc.buses()),
 		}
 		s.sources = sc.Sources
 		if s.sources == nil && sc.Stations > 0 {
@@ -460,22 +511,22 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
 		}
 		s.arbiter = sc.Arbiter
 		if s.arbiter == nil {
-			s.arbiter = bus.NewRoundRobin()
+			s.arbiter = NewRoundRobin()
 		}
 		if cfg.Quantiles {
 			s.waitHist = new(sim.Histogram)
 			s.respHist = new(sim.Histogram)
-			if sc.Stations > 0 {
-				s.flowRespHist = new(sim.Histogram)
-			}
 		}
 		s.issueFn = make([]func(), sc.Stations)
-		s.stalled = make([]*request, sc.Stations)
+		if sc.Mode == Buffered && sc.BufferCap != Infinite {
+			s.stalled = make([]stall, sc.Stations)
+		}
 		for i := range s.issueFn {
 			s.issueFn[i] = func() { s.issue(i) }
 		}
 		s.completeFn = make([]func(), s.nBuses)
 		for b := range s.completeFn {
+			s.onBus[b].claimant = -1
 			s.completeFn[b] = func() { s.complete(b) }
 			s.busUtil[b].Set(0, now)
 		}
@@ -492,27 +543,36 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
 	}
 	for k, s := range f.segs {
 		n := s.cfg.Stations
-		inbound := make([]*link, 0, 2)
 		for i, lc := range cfg.Links {
 			if lc.To == k {
 				f.links[i].claimant = n
-				inbound = append(inbound, f.links[i])
+				s.inbound = append(s.inbound, f.links[i])
 				n++
 			}
 		}
 		s.claimQ = make([]reqRing, n)
 		s.pending = make([]bool, n)
-		s.claimLink = make([]*link, n)
 		s.grants = make([]uint64, n)
-		for i := 0; i < s.cfg.Stations; i++ {
-			if s.cfg.Mode == bus.Buffered && s.cfg.BufferCap != Infinite {
-				s.claimQ[i].reserve(s.cfg.BufferCap)
-			}
+		// A station queue holds at most one request when unbuffered and
+		// BufferCap when buffered-finite; sizing its ring up front keeps
+		// the queue path allocation-free.
+		depth := 1
+		if s.cfg.Mode == Buffered {
+			depth = s.cfg.BufferCap
 		}
-		for _, l := range inbound {
-			s.claimLink[l.claimant] = l
+		for i := 0; i < s.cfg.Stations && depth != Infinite; i++ {
+			s.claimQ[i].reserve(depth)
+		}
+		for _, l := range s.inbound {
 			if l.cfg.Depth != Infinite {
 				s.claimQ[l.claimant].reserve(l.cfg.Depth)
+			}
+		}
+		s.standalone = s.cfg.Stations > 0 && len(s.cfg.Route) == 0 && len(s.inbound) == 0
+		if s.cfg.Stations > 0 && !s.standalone {
+			s.flow = new(flowStats)
+			if cfg.Quantiles {
+				s.flow.hist = new(sim.Histogram)
 			}
 		}
 	}
@@ -541,8 +601,7 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
 }
 
 // Start schedules the first think completion for every station, in
-// segment order then station order — the same order bus.Network.Start
-// uses within one segment.
+// segment order then station order.
 func (f *Fabric) Start() {
 	for _, s := range f.segs {
 		for i := 0; i < s.cfg.Stations; i++ {
@@ -561,11 +620,9 @@ func (f *Fabric) newRequest(s *segment, i int, now float64) *request {
 		r = new(request)
 	}
 	r.path = s.path
-	r.local = i
+	r.local = int32(i)
 	r.hop = 0
 	r.issuedAt = now
-	r.enqueuedAt = now
-	f.live++
 	return r
 }
 
@@ -573,7 +630,6 @@ func (f *Fabric) newRequest(s *segment, i int, now float64) *request {
 func (f *Fabric) release(r *request) {
 	r.path = nil
 	f.free = append(f.free, r)
-	f.live--
 }
 
 // Live returns the number of requests issued and not yet exited —
@@ -585,27 +641,32 @@ func (s *segment) scheduleThink(i int) {
 	s.eng.Schedule(s.sources[i].Next(s.rng), s.issueFn[i])
 }
 
-// issue fires when station i of this segment finishes thinking —
-// the exact analog of bus.Network.issue.
+// issue fires when station i of this segment finishes thinking and
+// presents a request to its interface.
 func (s *segment) issue(i int) {
 	now := s.eng.Now()
 	s.issued++
+	s.fab.live++
+	var r *request
+	if !s.standalone {
+		r = s.fab.newRequest(s, i, now)
+	}
 	switch s.cfg.Mode {
-	case bus.Unbuffered:
+	case Unbuffered:
 		// The station blocks: no further thinking is scheduled until its
 		// request exits the fabric.
-		s.enqueue(i, s.fab.newRequest(s, i, now))
+		s.enqueue(i, r, now)
 		s.tryDispatch()
-	case bus.Buffered:
+	case Buffered:
 		if s.cfg.BufferCap == Infinite || s.claimQ[i].len() < s.cfg.BufferCap {
-			s.enqueue(i, s.fab.newRequest(s, i, now))
+			s.enqueue(i, r, now)
 			s.scheduleThink(i)
 			s.tryDispatch()
 		} else {
 			// Interface full: the request is held at the station, which
-			// stalls until the segment drains a slot. issuedAt/enqueuedAt
-			// keep the stall time in its waiting time.
-			s.stalled[i] = s.fab.newRequest(s, i, now)
+			// stalls until the segment drains a slot. It joins the queue
+			// as of its issue time, so the stall counts as waiting.
+			s.stalled[i] = stall{r: r, at: now, held: true}
 			s.fab.stalls++
 			if p := s.fab.probe; p != nil {
 				p.HopStall(now, s.idx, i)
@@ -614,101 +675,122 @@ func (s *segment) issue(i int) {
 	}
 }
 
-func (s *segment) enqueue(j int, r *request) {
-	s.claimQ[j].push(r)
+func (s *segment) enqueue(j int, r *request, at float64) {
+	s.claimQ[j].push(r, at)
 	s.pending[j] = true
 	s.queued++
 	s.qlen.Set(float64(s.queued), s.eng.Now())
 }
 
 // freeBus returns the lowest-numbered idle bus; callers guarantee one
-// exists. Blocked buses are occupied, never returned.
+// exists. Blocked buses are occupied, never returned. The low-index
+// preference concentrates load on bus 0 — visible in the per-bus
+// utilizations — without affecting any aggregate: the buses are
+// identical and memoryless.
 func (s *segment) freeBus() int {
-	for b, r := range s.serving {
-		if r == nil {
+	for b := range s.onBus {
+		if s.onBus[b].claimant < 0 {
 			return b
 		}
 	}
 	panic("topo: freeBus called with every bus occupied")
 }
 
-// tryDispatch mirrors bus.Network.tryDispatch claimant for claimant;
-// the only additions are bridge claimants, whose pop frees a bridge
-// slot and therefore releases the oldest blocked upstream bus.
+// tryDispatch grants waiting requests to the arbiter's picks while any
+// bus is idle and any claimant has a waiting request. With one bus this
+// dispatches at most one request per call; with m buses it drains up to
+// m grants back to back at the same instant, each onto the
+// lowest-numbered free bus. Popping a station's queue admits its
+// stalled request; popping a bridge claimant frees a bridge slot and
+// therefore releases the oldest blocked upstream bus.
 func (s *segment) tryDispatch() {
 	for s.busy < s.nBuses && s.queued > 0 {
 		now := s.eng.Now()
 		j := s.arbiter.Select(s.pending)
-		r := s.claimQ[j].pop()
+		r, at := s.claimQ[j].pop()
 		s.pending[j] = s.claimQ[j].len() > 0
 		s.queued--
 		s.qlen.Set(float64(s.queued), now)
 		s.grants[j]++
-		s.wait.Add(now - r.enqueuedAt)
+		s.wait.Add(now - at)
 		if s.waitHist != nil {
-			s.waitHist.Add(now - r.enqueuedAt)
+			s.waitHist.Add(now - at)
 		}
 
-		if l := s.claimLink[j]; l != nil {
+		if j >= s.cfg.Stations {
 			// Popping freed a bridge slot; pull the oldest blocked
 			// upstream bus through it.
-			l.admitBlocked(now)
-		} else if st := s.stalled[j]; st != nil {
+			s.inbound[j-s.cfg.Stations].admitBlocked(now)
+		} else if s.stalled != nil && s.stalled[j].held {
 			// Popping freed a slot at interface j; admit the stalled
 			// request and let the station think again.
-			s.stalled[j] = nil
-			s.enqueue(j, st)
+			st := s.stalled[j]
+			s.stalled[j] = stall{}
+			s.enqueue(j, st.r, st.at)
 			s.scheduleThink(j)
 		}
 
 		b := s.freeBus()
-		s.serving[b] = r
-		s.servStart[b] = now
+		s.onBus[b] = busSlot{r: r, claimant: j, start: now, enq: at}
 		s.busy++
 		s.util.Set(float64(s.busy)/float64(s.nBuses), now)
 		s.busUtil[b].Set(1, now)
 		if p := s.fab.probe; p != nil {
-			p.HopGrant(now, s.idx, j, b, now-r.enqueuedAt)
+			p.HopGrant(now, s.idx, j, b, now-at)
 		}
 		s.eng.Schedule(s.service.Sample(s.rng), s.completeFn[b])
 	}
 }
 
-// depart records the end of request r's visit to this segment on bus b
-// and frees the bus. It never draws from the RNG.
-func (s *segment) depart(b int, r *request, now float64) {
-	s.resp.Add(now - r.enqueuedAt)
+// depart records the end of the visit of bus b's request to this
+// segment and frees the bus. It never draws from the RNG.
+func (s *segment) depart(b int, now float64) {
+	o := &s.onBus[b]
+	s.resp.Add(now - o.enq)
 	if s.respHist != nil {
-		s.respHist.Add(now - r.enqueuedAt)
+		s.respHist.Add(now - o.enq)
 	}
 	s.completions++
-	s.serving[b] = nil
+	o.r, o.claimant = nil, -1
 	s.busy--
 	s.util.Set(float64(s.busy)/float64(s.nBuses), now)
 	s.busUtil[b].Set(0, now)
 	if p := s.fab.probe; p != nil {
-		p.HopComplete(now, s.idx, b, now-s.servStart[b])
+		p.HopComplete(now, s.idx, b, now-o.start)
 	}
 }
 
 // complete fires when bus b of this segment finishes its transaction.
 func (s *segment) complete(b int) {
 	now := s.eng.Now()
-	r := s.serving[b]
-	if r.hop == len(r.path.segs)-1 {
-		// Final hop: the request exits the fabric. The update order —
-		// per-hop stats, free the bus, release the blocked station,
-		// dispatch — matches bus.Network.complete exactly, so a
-		// single-segment fabric replays its trajectory bit for bit.
-		s.depart(b, r, now)
-		home := s.fab.segs[r.path.segs[0]]
-		home.flowResp.Add(now - r.issuedAt)
-		if home.flowRespHist != nil {
-			home.flowRespHist.Add(now - r.issuedAt)
+	if s.standalone {
+		// The request exits where it was issued: per-hop stats, free the
+		// bus, release the blocked station, dispatch. The station is the
+		// claimant it was granted from.
+		j := s.onBus[b].claimant
+		s.depart(b, now)
+		s.fab.live--
+		if s.cfg.Mode == Unbuffered {
+			s.scheduleThink(j)
 		}
-		home.flowDone++
-		if home.cfg.Mode == bus.Unbuffered {
-			home.scheduleThink(r.local)
+		s.tryDispatch()
+		return
+	}
+	r := s.onBus[b].r
+	if int(r.hop) == len(r.path.segs)-1 {
+		// Final hop: the request exits the fabric, in the standalone
+		// order with the flow statistics added.
+		s.depart(b, now)
+		home := s.fab.segs[r.path.segs[0]]
+		flow := home.flow
+		flow.resp.Add(now - r.issuedAt)
+		if flow.hist != nil {
+			flow.hist.Add(now - r.issuedAt)
+		}
+		flow.done++
+		s.fab.live--
+		if home.cfg.Mode == Unbuffered {
+			home.scheduleThink(int(r.local))
 		}
 		s.fab.release(r)
 		s.tryDispatch()
@@ -716,7 +798,7 @@ func (s *segment) complete(b int) {
 	}
 	l := r.path.links[r.hop]
 	if l.hasSpace() {
-		s.depart(b, r, now)
+		s.depart(b, now)
 		l.advance(r, now)
 		l.to.tryDispatch()
 		s.tryDispatch()
@@ -736,24 +818,29 @@ func (s *segment) complete(b int) {
 
 // ResetStats discards accumulated statistics on every segment and flow
 // and restarts collection at the current time, preserving fabric state
-// — the warmup-truncation hook, mirroring bus.Network.ResetStats.
+// — the warmup-truncation hook. The collectors keep their live values
+// (busy-bus fraction, per-bus indicators, current queue depth) and
+// restart integration at now, so the state carries across the
+// truncation point while its history is dropped.
 func (f *Fabric) ResetStats() {
 	now := f.eng.Now()
 	f.statsStart = now
 	for _, s := range f.segs {
 		s.wait.Reset()
 		s.resp.Reset()
-		s.flowResp.Reset()
 		if s.waitHist != nil {
 			s.waitHist.Reset()
 			s.respHist.Reset()
 		}
-		if s.flowRespHist != nil {
-			s.flowRespHist.Reset()
+		if flow := s.flow; flow != nil {
+			flow.resp.Reset()
+			if flow.hist != nil {
+				flow.hist.Reset()
+			}
+			flow.done = 0
 		}
 		s.issued = 0
 		s.completions = 0
-		s.flowDone = 0
 		for i := range s.grants {
 			s.grants[i] = 0
 		}
@@ -766,10 +853,13 @@ func (f *Fabric) ResetStats() {
 	}
 }
 
-// SegmentMetrics summarizes one segment over the measured interval —
-// the same fields as bus.Metrics plus Blocked, the time-averaged
-// fraction of buses held by blocking-after-service (a subset of
-// Utilization: a blocked bus is occupied but doing no work).
+// SegmentMetrics summarizes one segment over the measured interval.
+// Utilization is the time-averaged fraction of occupied buses;
+// BusUtilization breaks it down per bus, so its mean equals
+// Utilization. Blocked is the time-averaged fraction of buses held by
+// blocking-after-service (a subset of Utilization: a blocked bus is
+// occupied but doing no work). Wait runs from arrival in the claimant
+// queue to service start, response to departure from the segment.
 type SegmentMetrics struct {
 	Name           string    `json:"name"`
 	Utilization    float64   `json:"utilization"`
@@ -816,70 +906,93 @@ type Metrics struct {
 // Snapshot computes metrics as of the engine's current time without
 // disturbing the collectors, so the simulation can continue afterwards.
 func (f *Fabric) Snapshot() Metrics {
-	now := f.eng.Now()
-	elapsed := now - f.statsStart
 	m := Metrics{
-		Elapsed:  elapsed,
+		Elapsed:  f.Elapsed(),
 		Segments: make([]SegmentMetrics, len(f.segs)),
 	}
 	for k, s := range f.segs {
-		util := s.util
-		util.Finish(now)
-		blocked := s.blockedTW
-		blocked.Finish(now)
-		qlen := s.qlen
-		qlen.Finish(now)
-		perBus := make([]float64, s.nBuses)
-		for b := range perBus {
-			bu := s.busUtil[b]
-			bu.Finish(now)
-			perBus[b] = bu.Average(elapsed)
+		m.Segments[k] = f.SegmentSnapshot(k)
+		if s.cfg.Stations == 0 {
+			continue
 		}
-		var waitHist, respHist *sim.Histogram
-		if s.waitHist != nil {
-			wh := *s.waitHist
-			rh := *s.respHist
-			waitHist, respHist = &wh, &rh
+		// Every request a standalone segment serves exits there, so its
+		// hop response is its end-to-end response, observation for
+		// observation.
+		resp, hist, done := &s.resp, s.respHist, s.completions
+		if s.flow != nil {
+			resp, hist, done = &s.flow.resp, s.flow.hist, s.flow.done
 		}
-		sm := SegmentMetrics{
-			Name:           s.cfg.Name,
-			Utilization:    util.Average(elapsed),
-			Blocked:        blocked.Average(elapsed),
-			BusUtilization: perBus,
-			MeanQueueLen:   qlen.Average(elapsed),
-			MaxQueueLen:    qlen.Max(),
-			MeanWait:       s.wait.Mean(),
-			WaitStdDev:     s.wait.StdDev(),
-			MaxWait:        s.wait.Max(),
-			MeanResponse:   s.resp.Mean(),
-			Issued:         s.issued,
-			Completions:    s.completions,
-			Grants:         append([]uint64(nil), s.grants...),
-			WaitHist:       waitHist,
-			RespHist:       respHist,
+		flow := FlowMetrics{
+			Segment:        s.cfg.Name,
+			Completed:      done,
+			MeanResponse:   resp.Mean(),
+			ResponseStdDev: resp.StdDev(),
+			MaxResponse:    resp.Max(),
 		}
-		if elapsed > 0 {
-			sm.Throughput = float64(s.completions) / elapsed
+		if hist != nil {
+			h := *hist
+			flow.RespHist = &h
 		}
-		m.Segments[k] = sm
-		if s.cfg.Stations > 0 {
-			var flowHist *sim.Histogram
-			if s.flowRespHist != nil {
-				fh := *s.flowRespHist
-				flowHist = &fh
-			}
-			m.Flows = append(m.Flows, FlowMetrics{
-				Segment:        s.cfg.Name,
-				Completed:      s.flowDone,
-				MeanResponse:   s.flowResp.Mean(),
-				ResponseStdDev: s.flowResp.StdDev(),
-				MaxResponse:    s.flowResp.Max(),
-				RespHist:       flowHist,
-			})
-		}
+		m.Flows = append(m.Flows, flow)
 	}
 	return m
 }
+
+// Elapsed returns the length of the measured interval as of the
+// engine's current time.
+func (f *Fabric) Elapsed() float64 { return f.eng.Now() - f.statsStart }
+
+// SegmentSnapshot computes segment k's metrics as of the engine's
+// current time — Snapshot's Segments[k] on its own, without the flows.
+func (f *Fabric) SegmentSnapshot(k int) SegmentMetrics {
+	s := f.segs[k]
+	now := f.eng.Now()
+	elapsed := f.Elapsed()
+	util := s.util
+	util.Finish(now)
+	blocked := s.blockedTW
+	blocked.Finish(now)
+	qlen := s.qlen
+	qlen.Finish(now)
+	perBus := make([]float64, s.nBuses)
+	for b := range perBus {
+		bu := s.busUtil[b]
+		bu.Finish(now)
+		perBus[b] = bu.Average(elapsed)
+	}
+	var waitHist, respHist *sim.Histogram
+	if s.waitHist != nil {
+		wh := *s.waitHist
+		rh := *s.respHist
+		waitHist, respHist = &wh, &rh
+	}
+	sm := SegmentMetrics{
+		Name:           s.cfg.Name,
+		Utilization:    util.Average(elapsed),
+		Blocked:        blocked.Average(elapsed),
+		BusUtilization: perBus,
+		MeanQueueLen:   qlen.Average(elapsed),
+		MaxQueueLen:    qlen.Max(),
+		MeanWait:       s.wait.Mean(),
+		WaitStdDev:     s.wait.StdDev(),
+		MaxWait:        s.wait.Max(),
+		MeanResponse:   s.resp.Mean(),
+		Issued:         s.issued,
+		Completions:    s.completions,
+		Grants:         append([]uint64(nil), s.grants...),
+		WaitHist:       waitHist,
+		RespHist:       respHist,
+	}
+	if elapsed > 0 {
+		sm.Throughput = float64(s.completions) / elapsed
+	}
+	return sm
+}
+
+// Busy returns the number of segment k's buses currently occupied,
+// serving or blocked after service. Exposed for invariant checks in
+// tests.
+func (f *Fabric) Busy(k int) int { return f.segs[k].busy }
 
 // Outstanding returns the number of requests station i of segment k has
 // in flight anywhere in the fabric: queued at its home interface,
@@ -888,13 +1001,15 @@ func (f *Fabric) Snapshot() Metrics {
 func (f *Fabric) Outstanding(k, i int) int {
 	home := f.segs[k]
 	c := home.claimQ[i].len()
-	if home.stalled[i] != nil {
+	if home.stalled != nil && home.stalled[i].held {
 		c++
 	}
 	for h, hop := range home.path.segs {
 		t := f.segs[hop]
-		for _, r := range t.serving {
-			if r != nil && r.path == home.path && r.local == i {
+		for _, o := range t.onBus {
+			// At home, station i's requests are exactly those granted
+			// from claimant i; downstream they are told apart by path.
+			if h == 0 && o.claimant == i || h > 0 && o.r != nil && o.r.path == home.path && int(o.r.local) == i {
 				c++
 			}
 		}
@@ -902,7 +1017,7 @@ func (f *Fabric) Outstanding(k, i int) int {
 			l := home.path.links[h-1]
 			q := &l.to.claimQ[l.claimant]
 			for n := 0; n < q.len(); n++ {
-				if r := q.at(n); r.path == home.path && r.local == i {
+				if r := q.at(n); r.path == home.path && int(r.local) == i {
 					c++
 				}
 			}

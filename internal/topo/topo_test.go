@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/busnet/busnet/internal/bus"
 	"github.com/busnet/busnet/internal/sim"
 )
 
@@ -25,21 +24,69 @@ func run(t *testing.T, cfg Config, seed int64, horizon float64) (Metrics, *Fabri
 	return f.Snapshot(), f
 }
 
-// A single-segment fabric must replay bus.Network's trajectory bit for
-// bit: same draws, same event order, same statistics. This is the
-// internal twin of the public 1-node golden test.
+// A single-segment fabric is the paper's single bus. Its trajectory is
+// pinned bit for bit by values recorded from the flat single-bus
+// engine this package replaced: every scalar, the per-station grants,
+// the per-bus utilizations, the histogram counts and the fired events.
 func TestSingleSegmentMatchesBusNetwork(t *testing.T) {
 	cases := []struct {
-		name string
-		mode bus.Mode
-		cap  int
-		m    int
+		name                 string
+		mode                 Mode
+		cap, m               int
+		want                 SegmentMetrics
+		waitCount, respCount uint64
+		events               uint64
 	}{
-		{"unbuffered", bus.Unbuffered, 0, 1},
-		{"buffered-finite", bus.Buffered, 3, 1},
-		{"buffered-infinite", bus.Buffered, Infinite, 1},
-		{"multibus-unbuffered", bus.Unbuffered, 0, 3},
-		{"multibus-buffered", bus.Buffered, 2, 2},
+		{
+			name: "unbuffered", mode: Unbuffered, cap: 0, m: 1,
+			want: SegmentMetrics{
+				Utilization: 0.8132683917754715, MeanQueueLen: 1.1680071563564847, MaxQueueLen: 5,
+				MeanWait: 1.4509405669024633, WaitStdDev: 1.893648780855731, MaxWait: 11.724344108792707,
+				MeanResponse: 2.461205426483079, Throughput: 0.8045, Issued: 1610, Completions: 1609,
+				Grants: []uint64{263, 272, 273, 261, 272, 269}, BusUtilization: []float64{0.8132683917754715},
+			},
+			waitCount: 1610, respCount: 1609, events: 3219,
+		},
+		{
+			name: "buffered-finite", mode: Buffered, cap: 3, m: 1,
+			want: SegmentMetrics{
+				Utilization: 0.9781634144505621, MeanQueueLen: 10.777907558614647, MaxQueueLen: 18,
+				MeanWait: 11.887316209948459, WaitStdDev: 8.077073163340982, MaxWait: 34.63608245699055,
+				MeanResponse: 12.876974453044964, Throughput: 0.9915, Issued: 1990, Completions: 1983,
+				Grants: []uint64{323, 337, 331, 350, 322, 321}, BusUtilization: []float64{0.9781634144505621},
+			},
+			waitCount: 1984, respCount: 1983, events: 3973,
+		},
+		{
+			name: "buffered-infinite", mode: Buffered, cap: Infinite, m: 1,
+			want: SegmentMetrics{
+				Utilization: 0.9965473766059257, MeanQueueLen: 189.5219623607594, MaxQueueLen: 393,
+				MeanWait: 156.86822724039644, WaitStdDev: 90.56324326686756, MaxWait: 373.3481853496435,
+				MeanResponse: 157.79155846074468, Throughput: 1.0005, Issued: 2394, Completions: 2001,
+				Grants: []uint64{333, 336, 340, 332, 333, 328}, BusUtilization: []float64{0.9965473766059257},
+			},
+			waitCount: 2002, respCount: 2001, events: 4395,
+		},
+		{
+			name: "multibus-unbuffered", mode: Unbuffered, cap: 0, m: 3,
+			want: SegmentMetrics{
+				Utilization: 0.3401810382849016, MeanQueueLen: 0.015473591781409812, MaxQueueLen: 3,
+				MeanWait: 0.015275016566051153, WaitStdDev: 0.10101806100268858, MaxWait: 1.6079428977881491,
+				MeanResponse: 1.0227213293545054, Throughput: 1.013, Issued: 2026, Completions: 2026,
+				Grants: []uint64{342, 317, 347, 356, 338, 326}, BusUtilization: []float64{0.5282764486010892, 0.3510630981179934, 0.14120356813562185},
+			},
+			waitCount: 2026, respCount: 2026, events: 4052,
+		},
+		{
+			name: "multibus-buffered", mode: Buffered, cap: 2, m: 2,
+			want: SegmentMetrics{
+				Utilization: 0.5837168754105982, MeanQueueLen: 0.5378390049283653, MaxQueueLen: 8,
+				MeanWait: 0.46647928444260217, WaitStdDev: 0.9842035433123729, MaxWait: 9.162952775340841,
+				MeanResponse: 1.4549260325471634, Throughput: 1.181, Issued: 2364, Completions: 2362,
+				Grants: []uint64{428, 405, 379, 381, 375, 396}, BusUtilization: []float64{0.661283951716264, 0.5061497991049325},
+			},
+			waitCount: 2364, respCount: 2362, events: 4726,
+		},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
@@ -50,22 +97,7 @@ func TestSingleSegmentMatchesBusNetwork(t *testing.T) {
 				lambda  = 0.2
 				mu      = 1.0
 			)
-			busEng := sim.NewEngine()
-			busNet, err := bus.New(bus.Config{
-				Processors: n, Buses: tt.m, ThinkRate: lambda, ServiceRate: mu,
-				Mode: tt.mode, BufferCap: tt.cap, Arbiter: bus.NewRoundRobin(),
-				Quantiles: true,
-			}, busEng, sim.NewRNGStream(seed, 0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			busNet.Start()
-			if err := busEng.RunUntil(horizon); err != nil {
-				t.Fatal(err)
-			}
-			want := busNet.Snapshot()
-
-			got, _ := run(t, Config{
+			got, f := run(t, Config{
 				Segments: []SegmentConfig{{
 					Name: "bus", Buses: tt.m, ServiceRate: mu,
 					Stations: n, ThinkRate: lambda, Mode: tt.mode, BufferCap: tt.cap,
@@ -76,10 +108,7 @@ func TestSingleSegmentMatchesBusNetwork(t *testing.T) {
 			if len(got.Segments) != 1 {
 				t.Fatalf("got %d segments", len(got.Segments))
 			}
-			s := got.Segments[0]
-			if busEng.Processed() == 0 {
-				t.Fatal("no events")
-			}
+			s, want := got.Segments[0], tt.want
 			pairs := []struct {
 				name       string
 				gotV, want float64
@@ -106,18 +135,24 @@ func TestSingleSegmentMatchesBusNetwork(t *testing.T) {
 			if !reflect.DeepEqual(s.BusUtilization, want.BusUtilization) {
 				t.Errorf("bus utilization = %v, want %v", s.BusUtilization, want.BusUtilization)
 			}
+			if s.WaitHist.Count() != tt.waitCount || s.RespHist.Count() != tt.respCount {
+				t.Errorf("histogram counts = %d/%d, want %d/%d",
+					s.WaitHist.Count(), s.RespHist.Count(), tt.waitCount, tt.respCount)
+			}
+			if ev := f.eng.Processed(); ev != tt.events {
+				t.Errorf("fired %d events, want %d", ev, tt.events)
+			}
 			if s.Blocked != 0 {
 				t.Errorf("single segment reported blocked = %v", s.Blocked)
 			}
 			// End-to-end response of a 1-hop fabric is the hop response.
-			if len(got.Flows) != 1 || got.Flows[0].MeanResponse != want.MeanResponse {
-				t.Errorf("flow mean response = %+v, want %v", got.Flows, want.MeanResponse)
+			if len(got.Flows) != 1 || got.Flows[0].MeanResponse != want.MeanResponse ||
+				got.Flows[0].Completed != want.Completions {
+				t.Errorf("flow = %+v, want mean response %v over %d completions",
+					got.Flows, want.MeanResponse, want.Completions)
 			}
-			if got.Flows[0].Completed != want.Completions {
-				t.Errorf("flow completed = %d, want %d", got.Flows[0].Completed, want.Completions)
-			}
-			if s.WaitHist == nil || s.WaitHist.Count() != want.WaitHist.Count() {
-				t.Errorf("wait histogram count mismatch")
+			if got.Flows[0].RespHist.Count() != tt.respCount {
+				t.Errorf("flow histogram count = %d, want %d", got.Flows[0].RespHist.Count(), tt.respCount)
 			}
 		})
 	}
@@ -143,7 +178,7 @@ func twoHopChain(n int, lambda, mu0, mu1 float64, depth int) Config {
 	return Config{
 		Segments: []SegmentConfig{
 			{Name: "cpu", ServiceRate: mu0, Stations: n, ThinkRate: lambda,
-				Mode: bus.Buffered, BufferCap: Infinite, Route: []int{1}},
+				Mode: Buffered, BufferCap: Infinite, Route: []int{1}},
 			{Name: "mem", ServiceRate: mu1},
 		},
 		Links: []LinkConfig{{From: 0, To: 1, Depth: depth}},
@@ -209,11 +244,42 @@ func TestBridgeDepthRelievesBlocking(t *testing.T) {
 	}
 }
 
+// A finite interface never queues more than BufferCap requests; a
+// request issued at a full interface stalls its station instead.
+func TestBufferedFiniteCapRespected(t *testing.T) {
+	const capacity = 2
+	eng := sim.NewEngine()
+	f, err := New(Config{Segments: []SegmentConfig{{
+		ServiceRate: 1, Stations: 3, ThinkRate: 3, // saturating: buffers will fill
+		Mode: Buffered, BufferCap: capacity,
+	}}}, eng, sim.NewRNG(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	s := f.segs[0]
+	sawStall := false
+	for step := 0; step < 300; step++ {
+		if err := eng.RunUntil(eng.Now() + 0.5); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < s.cfg.Stations; i++ {
+			if q := s.claimQ[i].len(); q > capacity {
+				t.Fatalf("t=%v: station %d queue length %d exceeds cap %d", eng.Now(), i, q, capacity)
+			}
+			sawStall = sawStall || s.stalled[i].held
+		}
+	}
+	if !sawStall {
+		t.Fatal("saturating workload never stalled a station; test is not exercising backpressure")
+	}
+}
+
 // Unbuffered stations must never have two requests in flight: the
 // station blocks until fabric exit, even across hops.
 func TestUnbufferedSingleOutstanding(t *testing.T) {
 	cfg := twoHopChain(4, 0.3, 1, 0.9, 1)
-	cfg.Segments[0].Mode = bus.Unbuffered
+	cfg.Segments[0].Mode = Unbuffered
 	cfg.Segments[0].BufferCap = 0
 	eng := sim.NewEngine()
 	f, err := New(cfg, eng, sim.NewRNGStream(9, 0))
@@ -239,9 +305,9 @@ func TestTreeMergeConservation(t *testing.T) {
 	cfg := Config{
 		Segments: []SegmentConfig{
 			{Name: "cpuA", ServiceRate: 2, Stations: 4, ThinkRate: 0.06,
-				Mode: bus.Buffered, BufferCap: Infinite, Route: []int{2, 3}},
+				Mode: Buffered, BufferCap: Infinite, Route: []int{2, 3}},
 			{Name: "cpuB", ServiceRate: 2, Stations: 4, ThinkRate: 0.04,
-				Mode: bus.Buffered, BufferCap: Infinite, Route: []int{2, 3}},
+				Mode: Buffered, BufferCap: Infinite, Route: []int{2, 3}},
 			{Name: "backbone", ServiceRate: 1.5},
 			{Name: "mem", ServiceRate: 1.2},
 		},
@@ -306,7 +372,7 @@ func TestConfigValidate(t *testing.T) {
 			Links: []LinkConfig{{From: 0, To: 1, Depth: 1}, {From: 1, To: 0, Depth: 1}},
 		}},
 		{"wrong-size arbiter", mutate(func(c *Config) {
-			w, _ := bus.NewWeightedRoundRobin([]int{1, 2})
+			w, _ := NewWeightedRoundRobin([]int{1, 2})
 			c.Segments[0].Arbiter = w
 		})},
 	}
@@ -319,10 +385,10 @@ func TestConfigValidate(t *testing.T) {
 	}
 	// A correctly sized arbiter covers stations + inbound bridges.
 	sized := mutate(func(c *Config) {
-		w, _ := bus.NewWeightedRoundRobin([]int{3, 1, 1, 1, 2})
+		w, _ := NewWeightedRoundRobin([]int{3, 1, 1, 1, 2})
 		c.Segments[1].Stations = 1
 		c.Segments[1].ThinkRate = 0.05
-		c.Segments[1].Mode = bus.Buffered
+		c.Segments[1].Mode = Buffered
 		c.Segments[1].BufferCap = Infinite
 		c.Segments[1].Arbiter = nil
 		_ = w

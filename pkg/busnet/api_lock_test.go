@@ -1,16 +1,9 @@
 package busnet
 
-// Compile-time lock on the deprecated surface: the legacy entry points
-// must keep their exact signatures for as long as they exist, so code
-// written against the pre-Evaluate API keeps compiling. Changing any of
-// these signatures (or removing a shim) breaks this file first, which
-// is the point — deprecation here means "frozen", not "drifting".
+// Compile-time lock on the public entry points: changing any of these
+// signatures breaks this file first, which is the point — a change to
+// the public surface has to be deliberate.
 var (
-	_ func(Config) (Prediction, error)          = Predict
-	_ func(Config) (FluidPrediction, error)     = FluidPredict
-	_ func(*Network) (Results, error)           = (*Network).Run
-	_ func(*Network) (Prediction, error)        = (*Network).Predict
-	_ func(*Network) (FluidPrediction, error)   = (*Network).FluidPredict
 	_ func(*Network) Config                     = (*Network).Config
 	_ func(Config) (*Network, error)            = FromConfig
 	_ func(...Option) (*Network, error)         = New

@@ -1,11 +1,12 @@
 // Package busnet is the stable public API for simulating multiplexed
 // single-bus multiprocessor networks with and without buffering, after
-// the source paper. The package is split into an immutable, validated
-// Config value type and a Network runner built from it: one Config can
-// fan out to many runs (parameter grids, replications) without sharing
-// any mutable state. Configure either with functional options or a
-// Config literal, run it, and get typed Results; Predict returns the
-// matching closed-form model for cross-checking.
+// the source paper. Everything starts from an immutable, validated
+// Config value: one Config can fan out to many runs (parameter grids,
+// replications) without sharing any mutable state. Configure either
+// with functional options or a Config literal, then Evaluate it: the
+// simulator returns typed Results, and the analytic and fluid backends
+// return the matching closed-form and mean-field models for
+// cross-checking.
 //
 //	net, err := busnet.New(
 //		busnet.WithProcessors(16),
@@ -14,14 +15,14 @@
 //		busnet.WithSeed(42),
 //	)
 //	if err != nil { ... }
-//	res, err := net.Run()
+//	ev, err := busnet.Evaluate(net.Config(), busnet.BackendSim)
 //
 // or, deriving runs from a config value:
 //
 //	cfg := busnet.DefaultConfig()
 //	cfg.Processors = 16
 //	cfg.Stream = 3 // replication 3's independent RNG substream
-//	net, err := busnet.FromConfig(cfg)
+//	ev, err := busnet.Evaluate(cfg, busnet.BackendSim)
 //
 // For whole parameter sweeps with replication statistics, see the
 // pkg/busnet/sweep subpackage.
@@ -31,8 +32,8 @@ import (
 	"fmt"
 
 	"github.com/busnet/busnet/internal/analytic"
-	"github.com/busnet/busnet/internal/bus"
 	"github.com/busnet/busnet/internal/sim"
+	"github.com/busnet/busnet/internal/topo"
 )
 
 // Histogram re-exports the fixed-memory streaming latency histogram so
@@ -113,9 +114,11 @@ type Results struct {
 // callers never import internal packages.
 type Prediction = analytic.Prediction
 
-// Network is a configured, runnable single-bus network. Each call to Run
-// builds fresh simulation state, so a Network is reusable — including
-// concurrently — and every run with the same config is identical.
+// Network is a validated single-bus configuration, built by New from
+// functional options or by FromConfig from a Config value; evaluate it
+// with Evaluate(net.Config(), backend). Every evaluation builds fresh
+// simulation state, so a Network is reusable — including concurrently —
+// and every run with the same config is identical.
 type Network struct {
 	cfg Config
 }
@@ -141,8 +144,8 @@ func New(opts ...Option) (*Network, error) {
 // grant counters) plus an event rate proportional to N make a run an
 // out-of-memory or multi-hour mistake rather than an experiment.
 // FromConfig refuses larger configs and points at the fluid backend,
-// whose cost is O(1) in N; FluidPredict and sweep fluid grids have no
-// such bound.
+// whose cost is O(1) in N; the fluid backend and sweep fluid grids have
+// no such bound.
 const MaxSimProcessors = 10_000_000
 
 // FromConfig validates cfg and returns a runnable network. The config is
@@ -151,40 +154,33 @@ const MaxSimProcessors = 10_000_000
 // taken literally (empty Mode/Arbiter strings normalize to the
 // defaults).
 func FromConfig(cfg Config) (*Network, error) {
-	cfg = cfg.normalized()
-	if err := cfg.Validate(); err != nil {
+	cfg, err := simulable(cfg)
+	if err != nil {
 		return nil, err
 	}
+	return &Network{cfg: cfg}, nil
+}
+
+// simulable returns cfg normalized, or the reason the discrete-event
+// backend refuses it.
+func simulable(cfg Config) (Config, error) {
+	cfg = cfg.normalized()
+	if err := cfg.Validate(); err != nil {
+		return Config{}, err
+	}
 	if cfg.Processors > MaxSimProcessors {
-		return nil, fmt.Errorf(
-			"busnet: %d processors exceeds the discrete-event backend's %d-station bound; use the fluid backend (FluidPredict, sweep Backend %q) for large-N curves",
+		return Config{}, fmt.Errorf(
+			"busnet: %d processors exceeds the discrete-event backend's %d-station bound; use the fluid backend (Evaluate or sweep Backend %q) for large-N curves",
 			cfg.Processors, MaxSimProcessors, BackendFluid)
 	}
-	return &Network{cfg: cfg}, nil
+	return cfg, nil
 }
 
 // Config returns the resolved configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Run simulates the network from time 0 to the horizon and returns
-// statistics over [warmup, horizon]. It is deterministic: equal
-// configuration (including Seed and Stream) yields identical Results.
-// Run builds all state afresh, so concurrent Runs on one Network are
-// safe.
-//
-// Deprecated: Run is Evaluate(n.Config(), BackendSim). New code should
-// call Evaluate and read Evaluation.Results; Run remains as a
-// bit-identical shim.
-func (n *Network) Run() (Results, error) {
-	ev, err := Evaluate(n.cfg, BackendSim)
-	if err != nil {
-		return Results{}, err
-	}
-	return *ev.Results, nil
-}
-
-// Predict returns the closed-form steady-state prediction for cfg: the
-// exact machine-repairman model in unbuffered mode, M/M/1 for infinite
+// predict is the closed-form backend behind Evaluate: the exact
+// machine-repairman model in unbuffered mode, M/M/1 for infinite
 // buffers, and the M/M/1/K approximation for finite buffers; with
 // Buses > 1 the m-server generalizations — finite-source M/M/m//N,
 // Erlang-C M/M/m, and M/M/m/K respectively. It errors when the config
@@ -203,20 +199,6 @@ func (n *Network) Run() (Results, error) {
 // in the single-bus buffered-infinite regime; every other combination
 // is refused, since no exact closed form exists there. See
 // docs/service.md for the formula mapping.
-//
-// Deprecated: Predict is Evaluate(cfg, BackendAnalytic). New code
-// should call Evaluate and read Evaluation.Analytic; Predict remains
-// as an identical-output shim.
-func Predict(cfg Config) (Prediction, error) {
-	ev, err := Evaluate(cfg, BackendAnalytic)
-	if err != nil {
-		return Prediction{}, err
-	}
-	return *ev.Analytic, nil
-}
-
-// predict is the closed-form backend behind Evaluate (and the Predict
-// shim); see Predict's doc for the exact model mapping.
 func predict(cfg Config) (Prediction, error) {
 	cfg = cfg.normalized()
 	if err := cfg.Validate(); err != nil {
@@ -236,7 +218,7 @@ func predict(cfg Config) (Prediction, error) {
 		// no exact closed form, and attaching an exponential-service model
 		// to a deterministic or heavy-tailed run would be a silently wrong
 		// overlay — refuse instead.
-		if mode != bus.Buffered || cfg.BufferCap != Infinite || multi {
+		if mode != topo.Buffered || cfg.BufferCap != Infinite || multi {
 			return Prediction{}, fmt.Errorf(
 				"busnet: no closed-form model for %s service outside the single-bus buffered-infinite (M/G/1) regime",
 				svc.Kind)
@@ -246,7 +228,7 @@ func predict(cfg Config) (Prediction, error) {
 		}
 		return analytic.MG1BufferedInfinite(cfg.Processors, cfg.ThinkRate, cfg.ServiceRate, svc.SquaredCV())
 	}
-	if mode == bus.Unbuffered {
+	if mode == topo.Unbuffered {
 		if multi {
 			return analytic.MultiUnbuffered(cfg.Processors, cfg.Buses, cfg.ThinkRate, cfg.ServiceRate)
 		}
@@ -263,9 +245,3 @@ func predict(cfg Config) (Prediction, error) {
 	}
 	return analytic.BufferedFinite(cfg.Processors, cfg.ThinkRate, cfg.ServiceRate, cfg.BufferCap)
 }
-
-// Predict returns the closed-form prediction for this network's
-// configuration; see the package-level Predict.
-//
-// Deprecated: use Evaluate(n.Config(), BackendAnalytic).
-func (n *Network) Predict() (Prediction, error) { return Predict(n.cfg) }

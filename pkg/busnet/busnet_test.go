@@ -33,11 +33,11 @@ func TestRunDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			first, err := net.Run()
+			first, err := simResults(net.Config())
 			if err != nil {
 				t.Fatal(err)
 			}
-			second, err := net.Run()
+			second, err := simResults(net.Config())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +52,7 @@ func TestRunDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reseeded, err := other.Run()
+			reseeded, err := simResults(other.Config())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,11 +82,11 @@ func TestFromConfigMatchesOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := net.Run()
+	a, err := simResults(net.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := other.Run()
+	b, err := simResults(other.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,12 +426,12 @@ func TestWeightedRoundRobinFacade(t *testing.T) {
 func TestPredictRejectsNonPoissonTraffic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Traffic = MMPP2Traffic(0.1, 0.1, 0.01, 0.01)
-	if _, err := Predict(cfg); err == nil {
-		t.Fatal("Predict attached a Poisson closed form to MMPP2 traffic")
+	if _, err := analyticOf(cfg); err == nil {
+		t.Fatal("the analytic backend attached a Poisson closed form to MMPP2 traffic")
 	}
 	cfg.Traffic = DeterministicTraffic()
-	if _, err := Predict(cfg); err == nil {
-		t.Fatal("Predict attached a Poisson closed form to deterministic traffic")
+	if _, err := analyticOf(cfg); err == nil {
+		t.Fatal("the analytic backend attached a Poisson closed form to deterministic traffic")
 	}
 }
 
@@ -441,7 +441,7 @@ func mustRun(t *testing.T, opts ...Option) (Results, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net.Run()
+	return simResults(net.Config())
 }
 
 // runCfg runs a literal Config through FromConfig, fatally on error.
@@ -451,5 +451,5 @@ func runCfg(t *testing.T, cfg Config) (Results, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net.Run()
+	return simResults(net.Config())
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/busnet/busnet/internal/bus"
 	"github.com/busnet/busnet/internal/servdist"
+	"github.com/busnet/busnet/internal/topo"
 	"github.com/busnet/busnet/internal/workload"
 )
 
@@ -288,19 +289,19 @@ func ParseMode(s string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if m == bus.Buffered {
+	if m == topo.Buffered {
 		return ModeBuffered, nil
 	}
 	return ModeUnbuffered, nil
 }
 
 // parseMode maps a Mode string to the domain type; "" is unbuffered.
-func parseMode(s string) (bus.Mode, error) {
+func parseMode(s string) (topo.Mode, error) {
 	switch s {
 	case "", ModeUnbuffered:
-		return bus.Unbuffered, nil
+		return topo.Unbuffered, nil
 	case ModeBuffered:
-		return bus.Buffered, nil
+		return topo.Buffered, nil
 	default:
 		return 0, fmt.Errorf("busnet: unknown mode %q", s)
 	}
@@ -403,7 +404,7 @@ func (c Config) busConfig() bus.Config {
 	}
 	switch kind {
 	case FixedPriority:
-		bc.Arbiter = bus.NewFixedPriority()
+		bc.Arbiter = topo.NewFixedPriority()
 	case WeightedRoundRobin:
 		ws, _ := ParseWeights(c.Weights)
 		if ws == nil {
@@ -412,13 +413,13 @@ func (c Config) busConfig() bus.Config {
 				ws[i] = 1
 			}
 		}
-		if wrr, err := bus.NewWeightedRoundRobin(ws); err == nil {
+		if wrr, err := topo.NewWeightedRoundRobin(ws); err == nil {
 			bc.Arbiter = wrr
 		} else {
-			bc.Arbiter = bus.NewRoundRobin()
+			bc.Arbiter = topo.NewRoundRobin()
 		}
 	default:
-		bc.Arbiter = bus.NewRoundRobin()
+		bc.Arbiter = topo.NewRoundRobin()
 	}
 	return bc
 }

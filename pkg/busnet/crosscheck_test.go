@@ -61,11 +61,11 @@ func TestSimulationMatchesAnalytic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pred, err := net.Predict()
+			pred, err := analyticOf(net.Config())
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := net.Run()
+			res, err := simResults(net.Config())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,11 +143,11 @@ func TestMultiBusSimulationMatchesAnalytic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pred, err := net.Predict()
+			pred, err := analyticOf(net.Config())
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := net.Run()
+			res, err := simResults(net.Config())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +186,7 @@ func TestMultiBusSimulationMatchesAnalytic(t *testing.T) {
 
 // The fabric's qualitative headline, simulated end to end: at a fixed
 // workload that saturates one bus, each doubling of the fabric raises
-// throughput and cuts the wait, and Predict's m-server overlay tracks
+// throughput and cuts the wait, and the analytic m-server overlay tracks
 // the whole curve.
 func TestMoreBusesRelieveContention(t *testing.T) {
 	run := func(m int) Results {
@@ -217,14 +217,14 @@ func TestMoreBusesRelieveContention(t *testing.T) {
 	}
 }
 
-// Predict keeps refusing to overlay the Poisson closed forms on
+// The analytic backend keeps refusing to overlay the Poisson closed forms on
 // non-Poisson traffic on a fabric too.
 func TestMultiBusPredictRejectsNonPoisson(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Buses = 4
 	cfg.Traffic = DeterministicTraffic()
-	if _, err := Predict(cfg); err == nil {
-		t.Fatal("Predict attached an m-server Poisson closed form to deterministic traffic")
+	if _, err := analyticOf(cfg); err == nil {
+		t.Fatal("the analytic backend attached an m-server Poisson closed form to deterministic traffic")
 	}
 }
 
@@ -269,11 +269,11 @@ func TestMMPP2EqualRatesMatchesPoissonAnalytic(t *testing.T) {
 			// same operating point, plain Poisson shape.
 			poisson := net.Config()
 			poisson.Traffic = PoissonTraffic()
-			pred, err := Predict(poisson)
+			pred, err := analyticOf(poisson)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := net.Run()
+			res, err := simResults(net.Config())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -332,7 +332,7 @@ func TestBurstyThroughputMatchesMeanRate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := net.Run()
+			res, err := simResults(net.Config())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -453,7 +453,7 @@ func TestServiceShapesMatchPollaczekKhinchine(t *testing.T) {
 			cfg.ThinkRate = pt.lambda
 			cfg.ServiceRate = pt.mu
 			cfg.Service = pt.service
-			pred, err := Predict(cfg)
+			pred, err := analyticOf(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -40,20 +40,17 @@ type Evaluation struct {
 }
 
 // Evaluate is the single entry point for evaluating a flat (one-bus-
-// segment) configuration with any backend. It subsumes the historical
-// trio — Network.Run is Evaluate(cfg, BackendSim), Predict is
-// Evaluate(cfg, BackendAnalytic), FluidPredict is
-// Evaluate(cfg, BackendFluid) — which survive as thin shims over this
-// function. The backend argument accepts the zero value ("" resolves
-// to BackendSim, matching ParseBackend) so callers can thread a
-// Backend straight from JSON or flags.
+// segment) configuration with any backend. The backend argument
+// accepts the zero value ("" resolves to BackendSim, matching
+// ParseBackend) so callers can thread a Backend straight from JSON or
+// flags.
 //
 // Backend domains differ: the analytic backend refuses non-Poisson
-// traffic and most non-exponential-service regimes (see the Predict
-// shim's doc for the exact model mapping), and the fluid backend
-// refuses everything its symmetric mean-field balance cannot represent
-// (see FluidPredict). The simulator accepts any valid Config up to
-// MaxSimProcessors stations.
+// traffic, and non-exponential service outside the single-bus
+// buffered-infinite (M/G/1) regime (see docs/service.md); the fluid
+// backend refuses everything its symmetric mean-field balance cannot
+// represent (see docs/fluid.md). The simulator accepts any valid
+// Config up to MaxSimProcessors stations.
 func Evaluate(cfg Config, backend Backend) (Evaluation, error) {
 	b, err := ParseBackend(string(backend))
 	if err != nil {
@@ -113,11 +110,10 @@ func Evaluate(cfg Config, backend Backend) (Evaluation, error) {
 // non-nil rec is attached to the engine's and model's probe seams;
 // attachment never changes the trajectory or the counters.
 func runSim(cfg Config, rec *obs.Recorder) (Results, error) {
-	n, err := FromConfig(cfg)
+	cfg, err := simulable(cfg)
 	if err != nil {
 		return Results{}, err
 	}
-	cfg = n.cfg
 	eng := sim.NewEngine()
 	rng := sim.NewRNGStream(cfg.Seed, cfg.Stream)
 	model, err := bus.New(cfg.busConfig(), eng, rng)

@@ -32,19 +32,8 @@ func TestFluidPredictDomainRefusals(t *testing.T) {
 	base.Buses = 4
 	base.ThinkRate = 0.1
 
-	if _, err := FluidPredict(base); err != nil {
+	if _, err := fluidOf(base); err != nil {
 		t.Fatalf("in-domain config refused: %v", err)
-	}
-	// The method form answers for the network's canonical config.
-	net, err := FromConfig(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err1 := FluidPredict(net.Config())
-	viaNet, err2 := net.FluidPredict()
-	if err1 != nil || err2 != nil || direct != viaNet {
-		t.Fatalf("Network.FluidPredict diverged from FluidPredict: %+v vs %+v (%v, %v)",
-			viaNet, direct, err2, err1)
 	}
 
 	refusals := map[string]func(*Config){
@@ -64,8 +53,8 @@ func TestFluidPredictDomainRefusals(t *testing.T) {
 	for name, mutate := range refusals {
 		cfg := base
 		mutate(&cfg)
-		if _, err := FluidPredict(cfg); err == nil {
-			t.Errorf("%s: FluidPredict produced a number outside its domain", name)
+		if _, err := fluidOf(cfg); err == nil {
+			t.Errorf("%s: the fluid backend produced a number outside its domain", name)
 		}
 	}
 
@@ -74,7 +63,7 @@ func TestFluidPredictDomainRefusals(t *testing.T) {
 	uni.Processors = 4
 	uni.Arbiter = WeightedRoundRobin.String()
 	uni.Weights = "2,2,2,2"
-	if _, err := FluidPredict(uni); err != nil {
+	if _, err := fluidOf(uni); err != nil {
 		t.Errorf("uniform WRR weights refused: %v", err)
 	}
 }
@@ -106,11 +95,11 @@ func TestFluidMatchesExactClosedForms(t *testing.T) {
 			cfg.Buses = tc.m
 			cfg.ThinkRate = tc.thinkRate
 
-			exact, err := Predict(cfg)
+			exact, err := analyticOf(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fl, err := FluidPredict(cfg)
+			fl, err := fluidOf(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,11 +142,11 @@ func TestFluidMatchesBufferedFlowClosedForm(t *testing.T) {
 			cfg.Mode = ModeBuffered
 			cfg.BufferCap = tc.cap
 
-			exact, err := Predict(cfg)
+			exact, err := analyticOf(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fl, err := FluidPredict(cfg)
+			fl, err := fluidOf(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,11 +177,11 @@ func TestFluidGapClosesAsN(t *testing.T) {
 		cfg.Buses = n / 16 // c = 1/16 held fixed
 		cfg.ThinkRate = lambda
 
-		exact, err := Predict(cfg)
+		exact, err := analyticOf(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fl, err := FluidPredict(cfg)
+		fl, err := fluidOf(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +237,7 @@ func TestFluidWithinDESConfidenceIntervals(t *testing.T) {
 				cfg.Mode = ModeBuffered
 				cfg.BufferCap = tc.bufferCap
 			}
-			fl, err := FluidPredict(cfg)
+			fl, err := fluidOf(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -312,7 +301,7 @@ func TestFromConfigRejectsHugeN(t *testing.T) {
 		t.Errorf("rejection does not name the fluid backend: %v", err)
 	}
 	// The same config is squarely inside the fluid domain.
-	if _, err := FluidPredict(cfg); err != nil {
-		t.Errorf("FluidPredict refused N just above the sim bound: %v", err)
+	if _, err := fluidOf(cfg); err != nil {
+		t.Errorf("the fluid backend refused N just above the sim bound: %v", err)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // FuzzConfigValidate drives Config.Validate and the JSON round trip
 // with field-level inputs: Validate must never panic, and any config it
 // accepts must survive marshal → unmarshal unchanged, still validate,
-// and yield a Predict that either errors cleanly or returns a finite
+// and yield an analytic evaluation that either errors cleanly or returns a finite
 // prediction. Huge population/capacity values are skipped rather than
 // validated — they are legal configs whose closed forms and source
 // allocation are deliberately O(N·cap), which a fuzzer would turn into
@@ -102,26 +102,26 @@ func FuzzConfigValidate(f *testing.F) {
 		if err := back.Validate(); err != nil {
 			t.Fatalf("round-tripped config no longer validates: %v\n%s", err, blob)
 		}
-		if pred, err := Predict(canon); err == nil {
+		if pred, err := analyticOf(canon); err == nil {
 			for name, v := range map[string]float64{
 				"utilization": pred.Utilization, "throughput": pred.Throughput,
 				"mean_wait": pred.MeanWait, "mean_queue_len": pred.MeanQueueLen,
 			} {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("Predict returned non-finite %s = %v for valid config %+v", name, v, canon)
+					t.Fatalf("the analytic backend returned non-finite %s = %v for valid config %+v", name, v, canon)
 				}
 			}
 		}
 		// The fluid backend holds to the same contract: refuse cleanly
 		// outside its domain, never emit a non-finite number inside it.
-		if fp, err := FluidPredict(canon); err == nil {
+		if fp, err := fluidOf(canon); err == nil {
 			for name, v := range map[string]float64{
 				"utilization": fp.Utilization, "throughput": fp.Throughput,
 				"mean_wait": fp.MeanWait, "mean_queue_len": fp.MeanQueueLen,
 				"blocked": fp.Blocked,
 			} {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("FluidPredict returned non-finite %s = %v for valid config %+v", name, v, canon)
+					t.Fatalf("the fluid backend returned non-finite %s = %v for valid config %+v", name, v, canon)
 				}
 			}
 		}

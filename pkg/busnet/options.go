@@ -3,8 +3,8 @@ package busnet
 import (
 	"fmt"
 
-	"github.com/busnet/busnet/internal/bus"
 	"github.com/busnet/busnet/internal/enum"
+	"github.com/busnet/busnet/internal/topo"
 )
 
 // ArbiterKind names a bus arbitration policy.
@@ -53,7 +53,7 @@ func (k *ArbiterKind) UnmarshalText(text []byte) error {
 }
 
 // Infinite marks an unbounded buffer in WithBuffer and Config.BufferCap.
-const Infinite = bus.Infinite
+const Infinite = topo.Infinite
 
 // warmupSetting records which warmup option, if any, was applied last,
 // so the pair follows the same last-option-wins rule as every other

@@ -109,7 +109,7 @@ func TestInvalidServiceRejected(t *testing.T) {
 	}
 }
 
-// Predict dispatch for non-exponential service: M/G/1 Pollaczek–
+// Analytic dispatch for non-exponential service: M/G/1 Pollaczek–
 // Khinchine in the single-bus buffered-infinite regime, clean refusal
 // everywhere else.
 func TestPredictDispatchesToPK(t *testing.T) {
@@ -119,14 +119,14 @@ func TestPredictDispatchesToPK(t *testing.T) {
 	base.Processors = 16
 	base.ThinkRate = 0.05 // ρ = 0.8
 
-	mm1, err := Predict(base)
+	mm1, err := analyticOf(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	det := base
 	det.Service = DeterministicService()
-	md1, err := Predict(det)
+	md1, err := analyticOf(det)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestPredictDispatchesToPK(t *testing.T) {
 
 	erl := base
 	erl.Service = ErlangService(4)
-	e4, err := Predict(erl)
+	e4, err := analyticOf(erl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestPredictDispatchesToPK(t *testing.T) {
 
 	h2 := base
 	h2.Service = HyperexpService(4)
-	mh2, err := Predict(h2)
+	mh2, err := analyticOf(h2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +166,8 @@ func TestPredictDispatchesToPK(t *testing.T) {
 	for name, mutate := range refusals {
 		cfg := det
 		mutate(&cfg)
-		if _, err := Predict(cfg); err == nil {
-			t.Errorf("%s with deterministic service: Predict attached a closed form", name)
+		if _, err := analyticOf(cfg); err == nil {
+			t.Errorf("%s with deterministic service: the analytic backend attached a closed form", name)
 		}
 	}
 }

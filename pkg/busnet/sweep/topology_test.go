@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/busnet/busnet/pkg/busnet"
@@ -169,5 +170,32 @@ func TestRunTopologyAnalyticBackend(t *testing.T) {
 	}
 	if _, err := RunTopology(TopologySpec{}); err == nil {
 		t.Error("empty topology sweep accepted")
+	}
+}
+
+// Planning validates every topology point before any job runs, like the
+// flat sweep: a bad point anywhere in the list fails the sweep with its
+// index, delivers nothing, and starts no job.
+func TestRunTopologyValidatesPointsUpFront(t *testing.T) {
+	good := tandem(t, 4, 0.06, 1, 1, 2, 5)
+	good.Horizon = 2000
+	good.Warmup = 200
+	bad := good
+	bad.Horizon = -1
+	var progress Progress
+	delivered := 0
+	err := RunTopologyStream(TopologySpec{
+		Points:       []busnet.Topology{good, bad},
+		Replications: 2,
+		Progress:     &progress,
+	}, func(TopologyPointDelivery) { delivered++ })
+	if err == nil || !strings.Contains(err.Error(), "topology point 1 invalid") {
+		t.Fatalf("err = %v, want the planning refusal of point 1", err)
+	}
+	if delivered != 0 {
+		t.Errorf("%d points delivered before the refusal", delivered)
+	}
+	if s := progress.Snapshot(); s.TotalJobs != 0 || s.DoneJobs != 0 {
+		t.Errorf("progress counted jobs %d/%d for a refused sweep", s.DoneJobs, s.TotalJobs)
 	}
 }

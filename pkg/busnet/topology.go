@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/busnet/busnet/internal/analytic"
-	"github.com/busnet/busnet/internal/bus"
 	"github.com/busnet/busnet/internal/obs"
 	"github.com/busnet/busnet/internal/sim"
 	"github.com/busnet/busnet/internal/topo"
@@ -300,7 +299,7 @@ func (t Topology) topoConfig() (topo.Config, error) {
 		kind, _ := ParseArbiter(n.Arbiter)
 		switch kind {
 		case FixedPriority:
-			sc.Arbiter = bus.NewFixedPriority()
+			sc.Arbiter = topo.NewFixedPriority()
 		case WeightedRoundRobin:
 			ws, _ := ParseWeights(n.Weights)
 			if ws == nil {
@@ -309,7 +308,7 @@ func (t Topology) topoConfig() (topo.Config, error) {
 					ws[i] = 1
 				}
 			}
-			if wrr, err := bus.NewWeightedRoundRobin(ws); err == nil {
+			if wrr, err := topo.NewWeightedRoundRobin(ws); err == nil {
 				sc.Arbiter = wrr
 			}
 		}
@@ -537,7 +536,7 @@ func PredictTopology(t Topology) (TopologyPrediction, error) {
 		if kind := n.Traffic.Kind; kind != TrafficPoisson {
 			return TopologyPrediction{}, fmt.Errorf("busnet: node %q: no product-form model for %s traffic", n.Name, kind)
 		}
-		if mode, _ := parseMode(n.Mode); mode != bus.Buffered || n.BufferCap != Infinite {
+		if mode, _ := parseMode(n.Mode); mode != topo.Buffered || n.BufferCap != Infinite {
 			return TopologyPrediction{}, fmt.Errorf(
 				"busnet: node %q: the product-form overlay needs buffered-infinite interfaces (open network); finite or blocking interfaces make arrivals non-Poisson", n.Name)
 		}

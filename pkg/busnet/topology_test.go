@@ -225,14 +225,14 @@ func TestTopologyValidate(t *testing.T) {
 }
 
 // PredictTopology on a one-node buffered-infinite topology must agree
-// exactly with the flat Predict — the overlay may not fork the math.
+// exactly with the flat analytic backend — the overlay may not fork the math.
 func TestPredictTopologyOneNodeMatchesFlat(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = ModeBuffered
 	cfg.BufferCap = Infinite
 	cfg.Processors = 16
 	cfg.ThinkRate = 0.05
-	flat, err := Predict(cfg)
+	flat, err := analyticOf(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestPredictTopologyOneNodeMatchesFlat(t *testing.T) {
 		t.Fatalf("got %+v", p)
 	}
 	if p.Nodes[0].Prediction != flat {
-		t.Errorf("one-node overlay = %+v, want flat Predict %+v", p.Nodes[0].Prediction, flat)
+		t.Errorf("one-node overlay = %+v, want the flat analytic %+v", p.Nodes[0].Prediction, flat)
 	}
 	if p.Flows[0].MeanResponse != flat.MeanResponse || p.MeanResponse != flat.MeanResponse {
 		t.Errorf("flow response %v / %v, want %v", p.Flows[0].MeanResponse, p.MeanResponse, flat.MeanResponse)
