@@ -3,6 +3,7 @@ package bus
 import (
 	"testing"
 
+	"github.com/busnet/busnet/internal/sim"
 	"github.com/busnet/busnet/internal/topo"
 )
 
@@ -238,7 +239,7 @@ func TestWeightedRoundRobinStations(t *testing.T) {
 		Processors: 4, ThinkRate: 0.1, ServiceRate: 1,
 		Mode: Unbuffered, Arbiter: mustWRR(t, 1, 2),
 	}
-	if cfg.Validate() == nil {
+	if _, err := New(cfg, sim.NewEngine(), sim.NewRNG(1)); err == nil {
 		t.Fatal("2-station arbiter accepted for a 4-processor config")
 	}
 }

@@ -19,9 +19,6 @@
 package bus
 
 import (
-	"fmt"
-	"math"
-
 	"github.com/busnet/busnet/internal/servdist"
 	"github.com/busnet/busnet/internal/sim"
 	"github.com/busnet/busnet/internal/topo"
@@ -50,8 +47,8 @@ type Config struct {
 	ThinkRate   float64 // λ: per-processor request generation rate while thinking
 	ServiceRate float64 // μ: per-bus service rate
 	Mode        Mode
-	BufferCap   int // per-processor queue capacity in Buffered mode; Infinite for unbounded
-	Arbiter     topo.Arbiter
+	BufferCap   int          // per-processor queue capacity in Buffered mode; Infinite for unbounded
+	Arbiter     topo.Arbiter // nil → round-robin
 	// Buses is the number of identical parallel buses behind the
 	// arbitration point, m ≥ 1. Zero means one — the paper's single-bus
 	// model and the pre-fabric default.
@@ -72,41 +69,6 @@ type Config struct {
 	Quantiles bool
 }
 
-// Validate reports the first configuration error, or nil.
-func (c Config) Validate() error {
-	switch {
-	case c.Processors < 1:
-		return fmt.Errorf("bus: Processors = %d, need ≥ 1", c.Processors)
-	case c.Buses < 0:
-		return fmt.Errorf("bus: Buses = %d, need ≥ 1 (or 0 for the single-bus default)", c.Buses)
-	case c.Sources == nil && (!(c.ThinkRate > 0) || math.IsInf(c.ThinkRate, 1)):
-		// An infinite rate makes Exp draw 0 forever, freezing the clock.
-		return fmt.Errorf("bus: ThinkRate = %v, need finite and > 0", c.ThinkRate)
-	case c.Sources != nil && len(c.Sources) != c.Processors:
-		return fmt.Errorf("bus: %d sources for %d processors", len(c.Sources), c.Processors)
-	case !(c.ServiceRate > 0) || math.IsInf(c.ServiceRate, 1):
-		return fmt.Errorf("bus: ServiceRate = %v, need finite and > 0", c.ServiceRate)
-	case c.Mode != Unbuffered && c.Mode != Buffered:
-		return fmt.Errorf("bus: unknown mode %d", int(c.Mode))
-	case c.Mode == Buffered && c.BufferCap != Infinite && c.BufferCap < 1:
-		return fmt.Errorf("bus: BufferCap = %d, need ≥ 1 or Infinite", c.BufferCap)
-	case c.Arbiter == nil:
-		return fmt.Errorf("bus: Arbiter is nil")
-	}
-	for i, s := range c.Sources {
-		if s == nil {
-			return fmt.Errorf("bus: Sources[%d] is nil", i)
-		}
-	}
-	// Arbiters carrying per-processor state (e.g. weighted round-robin)
-	// expose their size; a mismatch would index out of bounds mid-run.
-	if sized, ok := c.Arbiter.(interface{ Stations() int }); ok && sized.Stations() != c.Processors {
-		return fmt.Errorf("bus: arbiter %q sized for %d stations, config has %d processors",
-			c.Arbiter.Name(), sized.Stations(), c.Processors)
-	}
-	return nil
-}
-
 // Network is the simulated flat system: a one-segment topo.Fabric. It
 // is not safe for concurrent use; all mutation happens inside engine
 // callbacks.
@@ -115,9 +77,8 @@ type Network struct {
 }
 
 // New lowers cfg onto a one-segment fabric on the given engine and RNG;
-// topo.New validates the result, so Validate's flat checks are left to
-// callers that want its error texts. Start must be called to schedule
-// the initial think completions.
+// topo.New validates the result. Start must be called to schedule the
+// initial think completions.
 func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Network, error) {
 	fab, err := topo.New(topo.Config{
 		Segments: []topo.SegmentConfig{{

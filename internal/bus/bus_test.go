@@ -19,12 +19,15 @@ func newTestNetwork(t *testing.T, cfg Config, seed int64) (*Network, *sim.Engine
 	return n, eng
 }
 
+// New refuses every invalid flat config: the one-segment lowering hands
+// it to topo.New, whose checks are the only ones at construction. A nil
+// arbiter is not an error there — it defaults to round-robin.
 func TestConfigValidate(t *testing.T) {
 	valid := Config{
 		Processors: 4, ThinkRate: 0.1, ServiceRate: 1,
 		Mode: Buffered, BufferCap: 2, Arbiter: NewRoundRobin(),
 	}
-	if err := valid.Validate(); err != nil {
+	if _, err := New(valid, sim.NewEngine(), sim.NewRNG(1)); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	tests := []struct {
@@ -38,7 +41,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero service rate", func(c *Config) { c.ServiceRate = 0 }},
 		{"bad mode", func(c *Config) { c.Mode = Mode(9) }},
 		{"zero buffer cap", func(c *Config) { c.BufferCap = 0 }},
-		{"nil arbiter", func(c *Config) { c.Arbiter = nil }},
 		{"source count mismatch", func(c *Config) {
 			c.Sources = make([]workload.Source, c.Processors-1)
 		}},
@@ -50,7 +52,7 @@ func TestConfigValidate(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := valid
 			tt.mutate(&cfg)
-			if cfg.Validate() == nil {
+			if _, err := New(cfg, sim.NewEngine(), sim.NewRNG(1)); err == nil {
 				t.Fatal("invalid config accepted")
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/busnet/busnet/internal/sim"
+	"github.com/busnet/busnet/internal/workload"
 )
 
 // run builds and runs a fabric to the horizon, returning its metrics.
@@ -354,7 +355,14 @@ func TestConfigValidate(t *testing.T) {
 		{"no stations", mutate(func(c *Config) { c.Segments[0].Stations = 0; c.Segments[0].Route = nil; c.Links = nil })},
 		{"bad service rate", mutate(func(c *Config) { c.Segments[1].ServiceRate = 0 })},
 		{"bad think rate", mutate(func(c *Config) { c.Segments[0].ThinkRate = math.Inf(1) })},
+		{"source count mismatch", mutate(func(c *Config) {
+			c.Segments[0].Sources = make([]workload.Source, c.Segments[0].Stations-1)
+		})},
+		{"nil source entry", mutate(func(c *Config) {
+			c.Segments[0].Sources = make([]workload.Source, c.Segments[0].Stations)
+		})},
 		{"negative buses", mutate(func(c *Config) { c.Segments[0].Buses = -1 })},
+		{"bad mode", mutate(func(c *Config) { c.Segments[0].Mode = Mode(9) })},
 		{"transit with route", mutate(func(c *Config) { c.Segments[1].Route = []int{0} })},
 		{"bad buffer cap", mutate(func(c *Config) { c.Segments[0].BufferCap = -3 })},
 		{"route out of range", mutate(func(c *Config) { c.Segments[0].Route = []int{5} })},

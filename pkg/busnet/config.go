@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/busnet/busnet/internal/bus"
 	"github.com/busnet/busnet/internal/servdist"
 	"github.com/busnet/busnet/internal/topo"
 	"github.com/busnet/busnet/internal/workload"
@@ -340,7 +339,9 @@ func (c Config) MeanThinkRate() float64 {
 	return c.Traffic.MeanRate(c.ThinkRate)
 }
 
-// Validate reports the first configuration error, or nil.
+// Validate reports the first configuration error, or nil. It checks
+// the fields without building run state — no per-station sources, no
+// default weight vector — so its cost does not grow with Processors.
 func (c Config) Validate() error {
 	if _, err := parseMode(c.Mode); err != nil {
 		return err
@@ -357,11 +358,19 @@ func (c Config) Validate() error {
 		return fmt.Errorf("busnet: %d weights for %d processors", len(ws), c.Processors)
 	}
 	switch {
+	case c.Processors < 1:
+		return fmt.Errorf("busnet: processors = %d, need ≥ 1", c.Processors)
+	case c.Buses < 0:
+		return fmt.Errorf("busnet: buses = %d, need ≥ 1 (or 0 for the single-bus default)", c.Buses)
 	case math.IsNaN(c.ThinkRate) || c.ThinkRate < 0 || math.IsInf(c.ThinkRate, 1):
 		// Traffic kinds that ignore ThinkRate still echo it as provenance,
 		// so it must at least be a finite nonnegative number; kinds that
 		// consume it additionally require > 0 (checked by Traffic.Validate).
 		return fmt.Errorf("busnet: think rate = %v, need finite and ≥ 0", c.ThinkRate)
+	case !(c.ServiceRate > 0) || math.IsInf(c.ServiceRate, 1):
+		return fmt.Errorf("busnet: service rate = %v, need finite and > 0", c.ServiceRate)
+	case c.Mode == ModeBuffered && c.BufferCap != Infinite && c.BufferCap < 1:
+		return fmt.Errorf("busnet: buffer cap = %d, need ≥ 1 or %d (infinite)", c.BufferCap, Infinite)
 	case !(c.Horizon > 0) || math.IsInf(c.Horizon, 1):
 		// +Inf would make RunUntil spin forever; NaN fails the > 0 test.
 		return fmt.Errorf("busnet: horizon = %v, need finite and > 0", c.Horizon)
@@ -373,91 +382,5 @@ func (c Config) Validate() error {
 	if err := c.Traffic.Validate(c.ThinkRate); err != nil {
 		return err
 	}
-	// Domain-level constraints (processor count, rates, buffer capacity)
-	// are validated by bus.Config so the two layers cannot drift apart;
-	// the service spec is checked after it so a bad ServiceRate keeps its
-	// established domain-level error message.
-	if err := c.busConfig().Validate(); err != nil {
-		return err
-	}
 	return c.Service.Validate(c.ServiceRate)
-}
-
-// busConfig lowers the public value type to the domain model's config,
-// building fresh per-processor sources and a fresh arbiter — both carry
-// run state, so every Run gets its own. Unknown mode/arbiter/traffic
-// strings lower to the defaults; Validate rejects them first on every
-// construction path.
-func (c Config) busConfig() bus.Config {
-	mode, _ := parseMode(c.Mode)
-	kind, _ := ParseArbiter(c.Arbiter)
-	bc := bus.Config{
-		Processors:  c.Processors,
-		Buses:       c.Buses,
-		ThinkRate:   c.ThinkRate,
-		ServiceRate: c.ServiceRate,
-		Mode:        mode,
-		BufferCap:   c.BufferCap,
-		Sources:     c.sources(),
-		Service:     c.serviceDist(),
-		Quantiles:   c.Quantiles,
-	}
-	switch kind {
-	case FixedPriority:
-		bc.Arbiter = topo.NewFixedPriority()
-	case WeightedRoundRobin:
-		ws, _ := ParseWeights(c.Weights)
-		if ws == nil {
-			ws = make([]int, max(c.Processors, 0))
-			for i := range ws {
-				ws[i] = 1
-			}
-		}
-		if wrr, err := topo.NewWeightedRoundRobin(ws); err == nil {
-			bc.Arbiter = wrr
-		} else {
-			bc.Arbiter = topo.NewRoundRobin()
-		}
-	default:
-		bc.Arbiter = topo.NewRoundRobin()
-	}
-	return bc
-}
-
-// sources builds one fresh traffic source per processor from the
-// Traffic spec, or nil — bus's built-in Poisson default with the
-// pre-subsystem draw sequence — when the spec is (or normalizes to)
-// plain Poisson. Invalid specs also lower to nil; Validate rejects them
-// first on every construction path.
-func (c Config) sources() []workload.Source {
-	spec := c.Traffic.Normalized()
-	if spec == PoissonTraffic() || c.Processors < 1 {
-		return nil
-	}
-	srcs := make([]workload.Source, c.Processors)
-	for i := range srcs {
-		src, err := spec.NewSource(c.ThinkRate)
-		if err != nil {
-			return nil
-		}
-		srcs[i] = src
-	}
-	return srcs
-}
-
-// serviceDist lowers the Service spec to a servdist.Dist, or nil —
-// bus's built-in exponential default with the pre-subsystem draw
-// sequence — when the spec is (or normalizes to) plain exponential.
-// Invalid specs also lower to nil; Validate rejects them first on every
-// construction path.
-func (c Config) serviceDist() servdist.Dist {
-	spec := c.Service.Normalized()
-	if spec == ExponentialService() {
-		return nil
-	}
-	d, err := spec.NewDist(c.ServiceRate)
-	if err != nil {
-		return nil
-	}
-	return d
 }

@@ -1,10 +1,6 @@
 package busnet
 
-import (
-	"github.com/busnet/busnet/internal/bus"
-	"github.com/busnet/busnet/internal/obs"
-	"github.com/busnet/busnet/internal/sim"
-)
+import "github.com/busnet/busnet/internal/obs"
 
 // Evaluation is the backend-independent answer to "what does this
 // operating point look like?". The five summary fields are populated
@@ -52,7 +48,17 @@ type Evaluation struct {
 // represent (see docs/fluid.md). The simulator accepts any valid
 // Config up to MaxSimProcessors stations.
 func Evaluate(cfg Config, backend Backend) (Evaluation, error) {
-	b, err := ParseBackend(string(backend))
+	return EvaluateTraced(cfg, backend, nil)
+}
+
+// EvaluateTraced is Evaluate with a flight recorder attached to the
+// simulation's probe seams, capturing engine, arbitration, and (for
+// completeness of the shared recorder type) bridge events. rec may be
+// nil, in which case it behaves exactly like Evaluate. Tracing is a
+// simulation-level facility: a non-nil recorder with an analytic or
+// fluid backend is refused rather than silently ignored.
+func EvaluateTraced(cfg Config, backend Backend, rec *FlightRecorder) (Evaluation, error) {
+	b, err := traceableBackend(backend, rec)
 	if err != nil {
 		return Evaluation{}, err
 	}
@@ -85,70 +91,45 @@ func Evaluate(cfg Config, backend Backend) (Evaluation, error) {
 			MeanQueueLen: p.MeanQueueLen,
 			Fluid:        &p,
 		}, nil
-	default:
-		res, err := runSim(cfg, nil)
-		if err != nil {
-			return Evaluation{}, err
-		}
-		return Evaluation{
-			Backend:      b,
-			Utilization:  res.Utilization,
-			Throughput:   res.Throughput,
-			MeanWait:     res.MeanWait,
-			MeanResponse: res.MeanResponse,
-			MeanQueueLen: res.MeanQueueLen,
-			Results:      &res,
-			Diagnostics:  res.Diagnostics,
-		}, nil
 	}
+	res, err := runSim(cfg, rec)
+	if err != nil {
+		return Evaluation{}, err
+	}
+	return Evaluation{
+		Backend:      b,
+		Utilization:  res.Utilization,
+		Throughput:   res.Throughput,
+		MeanWait:     res.MeanWait,
+		MeanResponse: res.MeanResponse,
+		MeanQueueLen: res.MeanQueueLen,
+		Results:      &res,
+		Diagnostics:  res.Diagnostics,
+	}, nil
 }
 
-// runSim is the discrete-event backend: build fresh engine + model,
-// warm up, measure over [warmup, horizon]. Deterministic in
-// (Config, Seed, Stream); every field of Results covers the measured
-// interval only, except Diagnostics, which covers the whole run. A
-// non-nil rec is attached to the engine's and model's probe seams;
-// attachment never changes the trajectory or the counters.
+// runSim is the discrete-event backend for a flat config: it runs the
+// config's one-node topology through simulate and reads segment 0.
+// Deterministic in (Config, Seed, Stream); every field of Results
+// covers the measured interval [warmup, horizon] only, except
+// Diagnostics, which covers the whole run.
 func runSim(cfg Config, rec *obs.Recorder) (Results, error) {
 	cfg, err := simulable(cfg)
 	if err != nil {
 		return Results{}, err
 	}
-	eng := sim.NewEngine()
-	rng := sim.NewRNGStream(cfg.Seed, cfg.Stream)
-	model, err := bus.New(cfg.busConfig(), eng, rng)
+	// A valid flat config lifts to a topology that passes check, so it
+	// goes straight to simulate.
+	var node [1]Node
+	fab, events, diag, err := simulate(cfg.lift(&node), rec)
 	if err != nil {
 		return Results{}, err
 	}
-	if rec != nil {
-		eng.SetProbe(rec)
-		model.SetProbe(rec)
-	}
-	model.Start()
-	var warmupEvents uint64
-	if cfg.Warmup > 0 {
-		if err := eng.RunUntil(cfg.Warmup); err != nil {
-			return Results{}, err
-		}
-		model.ResetStats()
-		// Truncate the event count with the rest of the statistics so
-		// every Results field covers the same measured interval.
-		warmupEvents = eng.Processed()
-	}
-	if err := eng.RunUntil(cfg.Horizon); err != nil {
-		return Results{}, err
-	}
-	m := model.Snapshot()
-	mc := model.Counters()
-	diag := &Diagnostics{
-		Engine:       eng.Counters(),
-		Stalls:       mc.Stalls,
-		ArbScanSlots: mc.ArbScanSlots,
-	}
+	m := fab.SegmentSnapshot(0)
 	return Results{
 		Config:            cfg,
-		MeasuredTime:      m.Elapsed,
-		Events:            eng.Processed() - warmupEvents,
+		MeasuredTime:      fab.Elapsed(),
+		Events:            events,
 		Issued:            m.Issued,
 		Completions:       m.Completions,
 		Throughput:        m.Throughput,

@@ -9,11 +9,16 @@ import (
 // FuzzConfigValidate drives Config.Validate and the JSON round trip
 // with field-level inputs: Validate must never panic, and any config it
 // accepts must survive marshal → unmarshal unchanged, still validate,
-// and yield an analytic evaluation that either errors cleanly or returns a finite
-// prediction. Huge population/capacity values are skipped rather than
-// validated — they are legal configs whose closed forms and source
-// allocation are deliberately O(N·cap), which a fuzzer would turn into
-// an out-of-memory, not a finding.
+// and yield analytic and fluid evaluations that either error cleanly or
+// return finite predictions. Validate reads fields only, so huge
+// populations and capacities are validated too; only the analytic
+// evaluation skips them, since its closed forms are deliberately
+// O(N·cap) and a fuzzer would turn that into an out-of-memory, not a
+// finding.
+//
+// Validate checks the flat fields itself rather than through the
+// lowered fabric config, so a drift guard holds the two together: every
+// small config it accepts must also run on the simulator.
 func FuzzConfigValidate(f *testing.F) {
 	seed := func(cfg Config) {
 		f.Add(cfg.Processors, cfg.Buses, cfg.ThinkRate, cfg.ServiceRate,
@@ -76,18 +81,13 @@ func FuzzConfigValidate(f *testing.F) {
 			Warmup:    warmup,
 			Quantiles: quantiles,
 		}
-		if cfg.Processors > 1<<12 || cfg.BufferCap > 1<<12 || cfg.Buses > 1<<12 ||
-			len(cfg.Weights) > 1<<12 {
-			t.Skip("legal but deliberately O(N·cap) — not a robustness finding")
-		}
 		if err := cfg.Validate(); err != nil {
 			return // rejected cleanly; nothing more to hold
 		}
-		net, err := FromConfig(cfg)
-		if err != nil {
+		if _, err := FromConfig(cfg); err != nil && cfg.Processors <= MaxSimProcessors {
 			t.Fatalf("Validate accepted a config FromConfig rejects: %v\n%+v", err, cfg)
 		}
-		canon := net.Config()
+		canon := cfg.Normalized()
 		blob, err := json.Marshal(canon)
 		if err != nil {
 			t.Fatalf("canonical config does not marshal: %v\n%+v", err, canon)
@@ -102,13 +102,23 @@ func FuzzConfigValidate(f *testing.F) {
 		if err := back.Validate(); err != nil {
 			t.Fatalf("round-tripped config no longer validates: %v\n%s", err, blob)
 		}
-		if pred, err := analyticOf(canon); err == nil {
-			for name, v := range map[string]float64{
-				"utilization": pred.Utilization, "throughput": pred.Throughput,
-				"mean_wait": pred.MeanWait, "mean_queue_len": pred.MeanQueueLen,
-			} {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("the analytic backend returned non-finite %s = %v for valid config %+v", name, v, canon)
+		if small(canon) {
+			run := canon
+			run.Horizon, run.Warmup = 10, 1
+			if _, err := Evaluate(run, BackendSim); err != nil {
+				t.Fatalf("Validate accepted a config the simulator refuses: %v\n%+v", err, run)
+			}
+		}
+		// Only the analytic evaluation skips fuzzer-scale sizes.
+		if cfg.Processors <= 1<<12 && cfg.BufferCap <= 1<<12 && cfg.Buses <= 1<<12 {
+			if pred, err := analyticOf(canon); err == nil {
+				for name, v := range map[string]float64{
+					"utilization": pred.Utilization, "throughput": pred.Throughput,
+					"mean_wait": pred.MeanWait, "mean_queue_len": pred.MeanQueueLen,
+				} {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("the analytic backend returned non-finite %s = %v for valid config %+v", name, v, canon)
+					}
 				}
 			}
 		}
@@ -126,4 +136,31 @@ func FuzzConfigValidate(f *testing.F) {
 			}
 		}
 	})
+}
+
+// small reports whether a simulation of cfg at horizon 10 stays cheap:
+// at most 64 stations, buses, buffer slots and Erlang stages, rates of
+// at most 100, and — because a modulated source keeps switching hidden
+// states until its next arrival — a mean request rate of at least 0.01
+// for the modulated traffic kinds.
+func small(cfg Config) bool {
+	tr := cfg.Traffic
+	rates := []float64{cfg.ThinkRate, cfg.ServiceRate, tr.Rate0, tr.Rate1, tr.Switch01, tr.Switch10, tr.BurstRate}
+	switch tr.Kind {
+	case TrafficOnOff:
+		// ON and OFF periods end at rates 1/(duty·cycle) and
+		// 1/((1−duty)·cycle).
+		rates = append(rates, 1/(tr.DutyCycle*tr.CycleTime), 1/((1-tr.DutyCycle)*tr.CycleTime))
+		fallthrough
+	case TrafficMMPP2:
+		if !(cfg.MeanThinkRate() >= 0.01) {
+			return false
+		}
+	}
+	for _, r := range rates {
+		if !(r <= 100) {
+			return false
+		}
+	}
+	return cfg.Processors <= 64 && cfg.Buses <= 64 && cfg.BufferCap <= 64 && cfg.Service.Shape <= 64
 }

@@ -3,6 +3,7 @@ package busnet
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/busnet/busnet/internal/analytic"
 	"github.com/busnet/busnet/internal/obs"
@@ -83,22 +84,27 @@ type Topology struct {
 // segment named "bus" with no bridges. Evaluating it with BackendSim
 // replays the flat simulation bit for bit — same seed, same event
 // trajectory, same statistics — which the golden tests pin.
-func (c Config) Topology() Topology {
+func (c Config) Topology() Topology { return c.lift(new([1]Node)) }
+
+// lift is Topology with the node's storage supplied by the caller, so a
+// simulation job can keep its one-node topology off the heap.
+func (c Config) lift(node *[1]Node) Topology {
 	c = c.normalized()
+	node[0] = Node{
+		Name:        "bus",
+		Buses:       c.Buses,
+		ServiceRate: c.ServiceRate,
+		Service:     c.Service,
+		Arbiter:     c.Arbiter,
+		Weights:     c.Weights,
+		Processors:  c.Processors,
+		ThinkRate:   c.ThinkRate,
+		Traffic:     c.Traffic,
+		Mode:        c.Mode,
+		BufferCap:   c.BufferCap,
+	}
 	return Topology{
-		Nodes: []Node{{
-			Name:        "bus",
-			Buses:       c.Buses,
-			ServiceRate: c.ServiceRate,
-			Service:     c.Service,
-			Arbiter:     c.Arbiter,
-			Weights:     c.Weights,
-			Processors:  c.Processors,
-			ThinkRate:   c.ThinkRate,
-			Traffic:     c.Traffic,
-			Mode:        c.Mode,
-			BufferCap:   c.BufferCap,
-		}},
+		Nodes:     node[:],
 		Seed:      c.Seed,
 		Stream:    c.Stream,
 		Horizon:   c.Horizon,
@@ -135,24 +141,23 @@ func (t Topology) normalized() Topology {
 // the value EvaluateTopology echoes back in its results.
 func (t Topology) Normalized() Topology { return t.normalized() }
 
-// nodeIndex maps node names to indices; Validate guarantees uniqueness.
-func (t Topology) nodeIndex() map[string]int {
-	idx := make(map[string]int, len(t.Nodes))
+// nodeAt returns the index of the first node named name. Topologies
+// are a handful of nodes, so a scan beats building a map per job.
+func (t Topology) nodeAt(name string) (int, bool) {
 	for k, n := range t.Nodes {
-		if _, dup := idx[n.Name]; !dup {
-			idx[n.Name] = k
+		if n.Name == name {
+			return k, true
 		}
 	}
-	return idx
+	return -1, false
 }
 
 // claimants returns node k's claimant count: local processors plus one
 // per inbound bridge.
 func (t Topology) claimants(k int) int {
 	n := t.Nodes[k].Processors
-	idx := t.nodeIndex()
 	for _, l := range t.Links {
-		if to, ok := idx[l.To]; ok && to == k {
+		if to, ok := t.nodeAt(l.To); ok && to == k {
 			n++
 		}
 	}
@@ -162,10 +167,26 @@ func (t Topology) claimants(k int) int {
 // Validate reports the first configuration error, or nil: busnet-level
 // checks (names, modes, arbiters, traffic and service specs, run
 // interval) followed by the graph-level invariants the internal fabric
-// enforces — acyclicity, routes following existing links, no dead links
-// or unreachable transit nodes.
+// enforces on the lowered config — names resolving, acyclicity, routes
+// following existing links, no dead links or unreachable transit nodes.
 func (t Topology) Validate() error {
 	t = t.normalized()
+	if err := t.check(); err != nil {
+		return err
+	}
+	cfg, err := t.topoConfig(nil)
+	if err != nil {
+		return err
+	}
+	return cfg.Validate()
+}
+
+// check is Validate's busnet-level half on a normalized topology: every
+// field the lowering reads is well-formed and the population is within
+// the discrete-event bound, so lowering allocates at most
+// MaxSimProcessors sources. Name resolution and the graph invariants
+// are left to topoConfig and topo.New.
+func (t Topology) check() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("busnet: topology has no nodes")
 	}
@@ -179,6 +200,10 @@ func (t Topology) Validate() error {
 			return fmt.Errorf("busnet: nodes %d and %d share the name %q", prev, k, n.Name)
 		}
 		seen[n.Name] = k
+		if n.Processors < 0 || n.Processors > MaxSimProcessors {
+			// Bounding each node first keeps the total from wrapping.
+			return fmt.Errorf("busnet: node %q: processors = %d, need in [0, %d]", n.Name, n.Processors, MaxSimProcessors)
+		}
 		total += n.Processors
 		if n.Processors > 0 {
 			if _, err := parseMode(n.Mode); err != nil {
@@ -213,55 +238,32 @@ func (t Topology) Validate() error {
 		return fmt.Errorf("busnet: topology has %d processors in total, exceeding the discrete-event backend's %d-station bound",
 			total, MaxSimProcessors)
 	}
-	idx := t.nodeIndex()
-	for i, l := range t.Links {
-		if _, ok := idx[l.From]; !ok {
-			return fmt.Errorf("busnet: link %d: no node named %q", i, l.From)
-		}
-		if _, ok := idx[l.To]; !ok {
-			return fmt.Errorf("busnet: link %d: no node named %q", i, l.To)
-		}
-	}
-	for _, n := range t.Nodes {
-		for h, hop := range n.Route {
-			if _, ok := idx[hop]; !ok {
-				return fmt.Errorf("busnet: node %q route hop %d: no node named %q", n.Name, h, hop)
-			}
-		}
-	}
 	switch {
 	case !(t.Horizon > 0) || math.IsInf(t.Horizon, 1):
 		return fmt.Errorf("busnet: horizon = %v, need finite and > 0", t.Horizon)
 	case math.IsNaN(t.Warmup) || t.Warmup < 0 || t.Warmup >= t.Horizon:
 		return fmt.Errorf("busnet: warmup = %v, need in [0, horizon)", t.Warmup)
 	}
-	// Graph-level invariants (DAG, routes over links, dead links,
-	// station counts, rates, buffer depths) are enforced by the internal
-	// fabric config so the two layers cannot drift apart.
-	cfg, err := t.topoConfig()
-	if err != nil {
-		return err
-	}
-	return cfg.Validate()
+	return nil
 }
 
 // topoConfig lowers the public topology to the internal fabric config,
 // building fresh per-station sources and arbiters — both carry run
-// state, so every evaluation gets its own. Name resolution errors
-// surface here; deeper invariants are left to topo.Config.Validate.
-func (t Topology) topoConfig() (topo.Config, error) {
-	idx := t.nodeIndex()
+// state, so every evaluation gets its own. The segments are written
+// into segs when it has room. Name resolution errors surface here;
+// deeper invariants are left to topo.Config.Validate.
+func (t Topology) topoConfig(segs []topo.SegmentConfig) (topo.Config, error) {
 	cfg := topo.Config{
-		Segments:  make([]topo.SegmentConfig, len(t.Nodes)),
+		Segments:  slices.Grow(segs[:0], len(t.Nodes))[:len(t.Nodes)],
 		Links:     make([]topo.LinkConfig, len(t.Links)),
 		Quantiles: t.Quantiles,
 	}
 	for i, l := range t.Links {
-		from, ok := idx[l.From]
+		from, ok := t.nodeAt(l.From)
 		if !ok {
 			return topo.Config{}, fmt.Errorf("busnet: link %d: no node named %q", i, l.From)
 		}
-		to, ok := idx[l.To]
+		to, ok := t.nodeAt(l.To)
 		if !ok {
 			return topo.Config{}, fmt.Errorf("busnet: link %d: no node named %q", i, l.To)
 		}
@@ -313,7 +315,7 @@ func (t Topology) topoConfig() (topo.Config, error) {
 			}
 		}
 		for _, hop := range n.Route {
-			h, ok := idx[hop]
+			h, ok := t.nodeAt(hop)
 			if !ok {
 				return topo.Config{}, fmt.Errorf("busnet: node %q route: no node named %q", n.Name, hop)
 			}
@@ -409,7 +411,13 @@ type TopologyEvaluation struct {
 // form overlay (see PredictTopology for its domain). BackendFluid has
 // no topology model yet and is refused.
 func EvaluateTopology(t Topology, backend Backend) (TopologyEvaluation, error) {
-	b, err := ParseBackend(string(backend))
+	return EvaluateTopologyTraced(t, backend, nil)
+}
+
+// EvaluateTopologyTraced is EvaluateTopology with a flight recorder
+// attached; see EvaluateTraced for the recorder contract.
+func EvaluateTopologyTraced(t Topology, backend Backend, rec *FlightRecorder) (TopologyEvaluation, error) {
+	b, err := traceableBackend(backend, rec)
 	if err != nil {
 		return TopologyEvaluation{}, err
 	}
@@ -429,53 +437,70 @@ func EvaluateTopology(t Topology, backend Backend) (TopologyEvaluation, error) {
 		return TopologyEvaluation{}, fmt.Errorf(
 			"busnet: no fluid model for topologies — the mean-field balance covers the flat single-segment config only (use %q or %q)",
 			BackendSim, BackendAnalytic)
-	default:
-		res, err := runTopologySim(t, nil)
-		if err != nil {
-			return TopologyEvaluation{}, err
-		}
-		return topologyEvaluationFrom(b, res), nil
 	}
-}
-
-// topologyEvaluationFrom lifts a simulation payload into the shared
-// summary: total exit rate and the rate-weighted mean end-to-end
-// response across flows.
-func topologyEvaluationFrom(b Backend, res TopologyResults) TopologyEvaluation {
+	res, err := runTopologySim(t, rec)
+	if err != nil {
+		return TopologyEvaluation{}, err
+	}
+	// The shared summary: total exit rate and the rate-weighted mean
+	// end-to-end response across flows.
 	ev := TopologyEvaluation{Backend: b, Results: &res, Diagnostics: res.Diagnostics}
-	var rate, weighted float64
 	for _, f := range res.Flows {
 		if res.MeasuredTime > 0 {
 			r := float64(f.Completed) / res.MeasuredTime
-			rate += r
-			weighted += r * f.MeanResponse
+			ev.Throughput += r
+			ev.MeanResponse += r * f.MeanResponse
 		}
 	}
-	ev.Throughput = rate
-	if rate > 0 {
-		ev.MeanResponse = weighted / rate
+	if ev.Throughput > 0 {
+		ev.MeanResponse /= ev.Throughput
 	}
-	return ev
+	return ev, nil
 }
 
-// runTopologySim is the discrete-event backend for topologies,
-// mirroring runSim: fresh engine + fabric, warmup, measure over
-// [warmup, horizon]. A non-nil rec is attached to the engine's and
-// fabric's probe seams; attachment never changes the trajectory.
+// runTopologySim is the discrete-event backend for topologies: check
+// the normalized topology, then simulate it. Every field covers the
+// measured interval [warmup, horizon] except Diagnostics, which covers
+// the whole run.
 func runTopologySim(t Topology, rec *obs.Recorder) (TopologyResults, error) {
 	t = t.normalized()
-	if err := t.Validate(); err != nil {
+	if err := t.check(); err != nil {
 		return TopologyResults{}, err
 	}
-	cfg, err := t.topoConfig()
+	fab, events, diag, err := simulate(t, rec)
 	if err != nil {
 		return TopologyResults{}, err
+	}
+	m := fab.Snapshot()
+	return TopologyResults{
+		Topology:     t,
+		MeasuredTime: m.Elapsed,
+		Events:       events,
+		Hops:         m.Segments,
+		Flows:        m.Flows,
+		Diagnostics:  diag,
+	}, nil
+}
+
+// simulate is the one discrete-event run loop behind both Evaluate and
+// EvaluateTopology. It lowers t — normalized and checked by the caller
+// — once, builds a fresh engine and fabric (topo.New validates the
+// lowered graph), attaches a non-nil rec to both probe seams, runs and
+// drops the warmup transient, and measures to the horizon. It returns
+// the fabric for the caller to read, the events fired over the measured
+// interval, and the whole-run Diagnostics. Deterministic in
+// (t, Seed, Stream); attaching rec never changes the trajectory or the
+// counters.
+func simulate(t Topology, rec *obs.Recorder) (*topo.Fabric, uint64, *Diagnostics, error) {
+	var one [1]topo.SegmentConfig // room to lower a one-node topology off the heap
+	cfg, err := t.topoConfig(one[:])
+	if err != nil {
+		return nil, 0, nil, err
 	}
 	eng := sim.NewEngine()
-	rng := sim.NewRNGStream(t.Seed, t.Stream)
-	fab, err := topo.New(cfg, eng, rng)
+	fab, err := topo.New(cfg, eng, sim.NewRNGStream(t.Seed, t.Stream))
 	if err != nil {
-		return TopologyResults{}, err
+		return nil, 0, nil, err
 	}
 	if rec != nil {
 		eng.SetProbe(rec)
@@ -485,29 +510,23 @@ func runTopologySim(t Topology, rec *obs.Recorder) (TopologyResults, error) {
 	var warmupEvents uint64
 	if t.Warmup > 0 {
 		if err := eng.RunUntil(t.Warmup); err != nil {
-			return TopologyResults{}, err
+			return nil, 0, nil, err
 		}
 		fab.ResetStats()
+		// Truncate the event count with the rest of the statistics so
+		// every result field covers the same measured interval.
 		warmupEvents = eng.Processed()
 	}
 	if err := eng.RunUntil(t.Horizon); err != nil {
-		return TopologyResults{}, err
+		return nil, 0, nil, err
 	}
-	m := fab.Snapshot()
 	fc := fab.Counters()
-	return TopologyResults{
-		Topology:     t,
-		MeasuredTime: m.Elapsed,
-		Events:       eng.Processed() - warmupEvents,
-		Hops:         m.Segments,
-		Flows:        m.Flows,
-		Diagnostics: &Diagnostics{
-			Engine:          eng.Counters(),
-			Stalls:          fc.Stalls,
-			ArbScanSlots:    fc.ArbScanSlots,
-			BridgeCrossings: fc.BridgeCrossings,
-			BridgeBlocks:    fc.BridgeBlocks,
-		},
+	return fab, eng.Processed() - warmupEvents, &Diagnostics{
+		Engine:          eng.Counters(),
+		Stalls:          fc.Stalls,
+		ArbScanSlots:    fc.ArbScanSlots,
+		BridgeCrossings: fc.BridgeCrossings,
+		BridgeBlocks:    fc.BridgeBlocks,
 	}, nil
 }
 
@@ -528,7 +547,6 @@ func PredictTopology(t Topology) (TopologyPrediction, error) {
 	if err := t.Validate(); err != nil {
 		return TopologyPrediction{}, err
 	}
-	idx := t.nodeIndex()
 	for _, n := range t.Nodes {
 		if n.Processors == 0 {
 			continue
@@ -552,14 +570,15 @@ func PredictTopology(t Topology) (TopologyPrediction, error) {
 	arrival := make([]float64, len(t.Nodes))
 	var flows []FlowPrediction
 	var total, weighted float64
-	for _, n := range t.Nodes {
+	for k, n := range t.Nodes {
 		if n.Processors == 0 {
 			continue
 		}
 		rate := float64(n.Processors) * n.ThinkRate
-		arrival[idx[n.Name]] += rate
+		arrival[k] += rate
 		for _, hop := range n.Route {
-			arrival[idx[hop]] += rate
+			h, _ := t.nodeAt(hop)
+			arrival[h] += rate
 		}
 		flows = append(flows, FlowPrediction{Node: n.Name, Rate: rate})
 		total += rate
@@ -579,10 +598,11 @@ func PredictTopology(t Topology) (TopologyPrediction, error) {
 		}
 	}
 	for i := range flows {
-		n := t.Nodes[idx[flows[i].Node]]
-		resp := p.Nodes[idx[n.Name]].MeanResponse
-		for _, hop := range n.Route {
-			resp += p.Nodes[idx[hop]].MeanResponse
+		k, _ := t.nodeAt(flows[i].Node)
+		resp := p.Nodes[k].MeanResponse
+		for _, hop := range t.Nodes[k].Route {
+			h, _ := t.nodeAt(hop)
+			resp += p.Nodes[h].MeanResponse
 		}
 		flows[i].MeanResponse = resp
 		weighted += flows[i].Rate * resp

@@ -208,6 +208,13 @@ func TestTopologyValidate(t *testing.T) {
 			tp.Nodes[1].Route = []string{"cpu"}
 		}, "cycle"},
 		{"bad service", func(tp *Topology) { tp.Nodes[1].ServiceRate = -1 }, "service rate"},
+		{"processor total wraps around", func(tp *Topology) {
+			// Bursty traffic makes the lowering build one source per
+			// processor, so an unbounded node must be refused before it.
+			tp.Nodes[0].Processors = math.MaxInt
+			tp.Nodes[0].Traffic = MMPP2Traffic(0.02, 0.3, 0.01, 0.05)
+			tp.Nodes[1].Processors = -math.MaxInt
+		}, "processors"},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
