@@ -85,3 +85,68 @@ func TestAllocsStats(t *testing.T) {
 		}
 	})
 }
+
+// The oscillating pending set: the paper's sweeps swing one run's
+// pending set between a few events and hundreds, and each swing
+// re-targets the wheel's bucket count. After oscSingles unit-delay
+// single-event steps the wheel sits at its minimum bucket count with a
+// window of about 32 time units, so a burst starting oscLead ahead parks
+// wholly in the overflow level and the rebase that admits it grows the
+// bucket array. The burst's oscSpacing fills that grown window almost to
+// its end, so the single-event steps after the drain walk out of it
+// within oscSingles steps and the next rebase shrinks the array again.
+const (
+	oscBurst   = 400
+	oscLead    = 64
+	oscSpacing = 10
+	oscSingles = 200
+)
+
+// oscillating returns an engine whose event pool and bucket array have
+// reached their high-water marks under the oscillating pending set, and
+// the function that runs one grow → shrink cycle on it: a burst drained
+// to empty, then the single-event steps.
+func oscillating(tb testing.TB) (*Engine, func()) {
+	e := NewEngine()
+	fire := func() {}
+	singles := func() {
+		for i := 0; i < oscSingles; i++ {
+			e.Schedule(1, fire)
+			if err := e.Run(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	cycle := func() {
+		for i := 0; i < oscBurst; i++ {
+			e.Schedule(oscLead+float64(i)*oscSpacing, fire)
+		}
+		if err := e.Run(); err != nil {
+			tb.Fatal(err)
+		}
+		singles()
+	}
+	// Settle the bucket width on the single-step gap, then two warm-up
+	// cycles grow the pool and the bucket array to their high-water marks.
+	singles()
+	cycle()
+	cycle()
+	return e, cycle
+}
+
+// TestAllocsOscillatingPending locks the wheel's storage reuse: once
+// the bucket array has reached its high-water capacity, a grow → shrink
+// cycle of the pending set reslices that storage and allocates nothing.
+func TestAllocsOscillatingPending(t *testing.T) {
+	e, cycle := oscillating(t)
+	const runs = 20
+	before := e.Counters().WheelResizes
+	avg := testing.AllocsPerRun(runs, cycle)
+	// AllocsPerRun makes one extra, unmeasured call.
+	if got := e.Counters().WheelResizes - before; got < 2*(runs+1) {
+		t.Fatalf("%d wheel resizes over %d cycles, want ≥ 2 per cycle (grow and shrink)", got, runs+1)
+	}
+	if avg != 0 {
+		t.Fatalf("oscillating pending set allocates %v per cycle, want 0", avg)
+	}
+}

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkEventLoop measures the engine hot path: schedule one event,
 // fire it, schedule the next from inside the callback — the steady-state
@@ -69,6 +72,54 @@ func BenchmarkWheelPushPop(b *testing.B) {
 		t += 1.0
 		ev.Time = t
 		w.Push(ev)
+	}
+}
+
+// BenchmarkWheelHold measures the wheel under the hold model at the
+// pending-set sizes the benchmark workloads produce: 3–70 is paper-flat's
+// range (its traced mean pending count is 16.8), and 1024 is large-n's
+// top point. Each op pops the earliest event and pushes it back after an
+// exponential delay whose mean equals the pending count, so the mean
+// inter-fire gap is one time unit at every size.
+func BenchmarkWheelHold(b *testing.B) {
+	for _, n := range []int{3, 17, 70, 1024} {
+		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
+			rng := NewRNG(1)
+			delays := make([]float64, 4096)
+			for i := range delays {
+				delays[i] = rng.Exp(1 / float64(n))
+			}
+			w := NewTimingWheel()
+			for i := 0; i < n; i++ {
+				w.Push(&Event{Time: delays[i]})
+			}
+			// Let the width, bucket count and overflow heap settle.
+			for i := 0; i < 4096+16*n; i++ {
+				ev := w.Pop()
+				ev.Time += delays[i&4095]
+				w.Push(ev)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev := w.Pop()
+				ev.Time += delays[i&4095]
+				w.Push(ev)
+			}
+		})
+	}
+}
+
+// BenchmarkWheelOscillating measures one grow → shrink cycle of the
+// pending set per op — the burst and single-step phases of
+// TestAllocsOscillatingPending, 600 events — on an engine whose event
+// pool and bucket array have already reached their high-water marks.
+func BenchmarkWheelOscillating(b *testing.B) {
+	_, cycle := oscillating(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }
 

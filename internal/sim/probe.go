@@ -46,8 +46,10 @@ type EngineCounters struct {
 	PoolMisses uint64 `json:"pool_misses"`
 	// WheelOverflow counts pushes that landed beyond the timing wheel's
 	// window (parked in the sorted overflow heap); WheelRebases counts
-	// window slides, and WheelResizes the rebases that also reallocated
-	// the bucket array. All zero when the engine runs on the oracle heap.
+	// window slides, and WheelResizes the rebases that also re-targeted
+	// the bucket count. A re-target reslices the wheel's high-water
+	// storage; only growth past its capacity allocates. All zero when the
+	// engine runs on the oracle heap.
 	WheelOverflow uint64 `json:"wheel_overflow"`
 	WheelRebases  uint64 `json:"wheel_rebases"`
 	WheelResizes  uint64 `json:"wheel_resizes"`

@@ -22,7 +22,11 @@ const (
 // unlink. Firing is O(1) amortized — the scan frontier `cur` only moves
 // forward within a window, resizing keeps the bucket count proportional
 // to the pending-event count, and the bucket width tracks the observed
-// mean inter-fire gap so expected bucket occupancy stays O(1).
+// mean inter-fire gap so expected bucket occupancy stays O(1). The
+// bucket and bitmap storage is a high-water mark: a re-target reslices
+// it, and only growth past its capacity allocates, so a pending set
+// that swings between a few events and hundreds stops allocating once
+// it has reached its peak.
 // Far-future events pay one O(log n) overflow insertion and one
 // O(log n) migration when the window reaches them; the window spans
 // ~16× the pending set's expected spread, so only deep think-time
@@ -62,7 +66,7 @@ type TimingWheel struct {
 
 	// Self-measurement totals surfaced through Engine.Counters: pushes
 	// that landed in the overflow level, window slides, and the slides
-	// that also reallocated the bucket array. Deterministic for a fixed
+	// that also re-targeted the bucket count. Deterministic for a fixed
 	// push/pop sequence, so they double as regression canaries for the
 	// adaptive sizing heuristics.
 	nOverflow uint64
@@ -303,8 +307,12 @@ func (w *TimingWheel) rebase() {
 // (clamped to [wheelMinBuckets, wheelMaxBuckets]) so the window span
 // comfortably covers the spread of the pending set. Growth is immediate;
 // shrinking waits for a 4× overshoot so an oscillating load doesn't
-// thrash allocations. Called only from rebase, when every bucket is
-// empty, so no event moves and the bitmap is all zero.
+// re-target on every swing. Called only from rebase, when every bucket
+// is empty, so no event moves and the bitmap is all zero. That is what
+// makes reslicing safe: slots past len were empty when a shrink cut them
+// off and nothing has written them since, so a shrink, or a regrow
+// within capacity, exposes only empty slots. Only growth past the
+// high-water capacity allocates.
 func (w *TimingWheel) resize() {
 	total := w.overflow.Len()
 	target := wheelMinBuckets
@@ -313,8 +321,13 @@ func (w *TimingWheel) resize() {
 	}
 	if target > len(w.buckets) || target*4 <= len(w.buckets) {
 		w.nResizes++
-		w.buckets = make([]*Event, target)
-		w.bits = make([]uint64, target/64)
+		if target > cap(w.buckets) {
+			w.buckets = make([]*Event, target)
+			w.bits = make([]uint64, target/64)
+		} else {
+			w.buckets = w.buckets[:target]
+			w.bits = w.bits[:target/64]
+		}
 	}
 	w.nbuckF = float64(len(w.buckets))
 }

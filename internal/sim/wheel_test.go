@@ -254,14 +254,64 @@ func TestEngineWheelMatchesHeapTrajectory(t *testing.T) {
 	}
 }
 
+// TestWheelReuseMatchesHeap drives the wheel through the grow → shrink
+// → regrow cycle of TestAllocsOscillatingPending against the heap
+// oracle. Past the first growth, every re-target reslices the
+// high-water bucket array, and the pops must still match the heap's.
+func TestWheelReuseMatchesHeap(t *testing.T) {
+	p := newWheelPair(t)
+	now := 0.0
+	pop := func() {
+		now = p.heap.Peek().Time
+		p.pop()
+	}
+	singles := func() {
+		for i := 0; i < oscSingles; i++ {
+			p.push(now + 1)
+			pop()
+		}
+	}
+	burst := func() {
+		for i := 0; i < oscBurst; i++ {
+			p.push(now + oscLead + float64(i)*oscSpacing)
+		}
+		for i := 0; i < oscBurst; i++ {
+			pop()
+		}
+	}
+	singles()
+	burst()
+	high, grown := &p.wheel.buckets[0], len(p.wheel.buckets)
+	for c := 0; c < 3; c++ {
+		resizes := p.wheel.nResizes
+		singles()
+		if n := len(p.wheel.buckets); n >= grown {
+			t.Fatalf("cycle %d: %d buckets after the single-event steps, want fewer than %d", c, n, grown)
+		}
+		burst()
+		if n := len(p.wheel.buckets); n != grown {
+			t.Fatalf("cycle %d: %d buckets after the burst, want %d", c, n, grown)
+		}
+		if &p.wheel.buckets[0] != high {
+			t.Fatalf("cycle %d: regrow within capacity reallocated the bucket array", c)
+		}
+		if got := p.wheel.nResizes - resizes; got < 2 {
+			t.Fatalf("cycle %d: %d resizes, want ≥ 2 (shrink and regrow)", c, got)
+		}
+	}
+	p.drain()
+}
+
 // FuzzWheelMatchesHeap feeds arbitrary byte strings as operation
 // scripts to the differential driver. Each byte pair is one operation:
-// the first selects push/pop/popLE/peek/remove, the second supplies
-// the operand (a time offset, a pop limit, or a live-set index).
+// the first selects push/pop/popLE/peek/remove/burst, the second
+// supplies the operand (a time offset, a pop limit, a live-set index,
+// or a burst size).
 func FuzzWheelMatchesHeap(f *testing.F) {
 	f.Add([]byte{0x00, 0x05, 0x40, 0x00})
 	f.Add([]byte{0x01, 0xFF, 0x01, 0xFF, 0x40, 0x00, 0x40, 0x00})
 	f.Add([]byte{0x00, 0x01, 0x00, 0x01, 0x80, 0x02, 0xC0, 0x01})
+	f.Add(wheelGrowShrinkScript())
 	f.Fuzz(func(t *testing.T, script []byte) {
 		p := newWheelPair(t)
 		now := 0.0
@@ -282,14 +332,45 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 				}
 				p.popLE(lim)
 			default:
-				switch op & 1 {
+				switch op & 3 {
 				case 0:
 					p.peek()
-				default:
+				case 1:
 					p.removeAt(int(arg))
+				default: // burst of 1–255 events one time unit apart
+					for j := 0; j < max(int(arg), 1); j++ {
+						p.push(now + float64(j))
+					}
 				}
 			}
 		}
 		p.drain()
 	})
+}
+
+// wheelGrowShrinkScript is a FuzzWheelMatchesHeap seed that grows,
+// shrinks and regrows the bucket array, so fuzzing starts from the
+// reslice paths. A full burst overflows the minimum window and grows the
+// array at the rebase that admits it. Single events pushed 15 ahead and
+// popped walk out of the grown window, and the rebase there shrinks it.
+// A walk of unit strides then narrows the bucket width again, so a
+// second full burst overflows and regrows within capacity.
+func wheelGrowShrinkScript() []byte {
+	var s []byte
+	burst := func() {
+		s = append(s, 0xC2, 0xFF)
+		for i := 0; i < 255; i++ {
+			s = append(s, 0x40, 0x00)
+		}
+	}
+	walk := func(steps int, stride byte) {
+		for i := 0; i < steps; i++ {
+			s = append(s, 0x00, stride, 0x40, 0x00)
+		}
+	}
+	burst()
+	walk(130, 15)
+	walk(400, 1)
+	burst()
+	return s
 }

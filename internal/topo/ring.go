@@ -20,8 +20,9 @@ type queueSlot struct {
 }
 
 // push appends r, which joined the queue at time at, growing the buffer
-// (doubling, so amortized O(1)) only when full. Finite claimant queues
-// never grow after New sizes them.
+// (doubling, so amortized O(1)) only when full. A finite claimant queue
+// no deeper than ringReserveMax never grows after New sizes it; a deeper
+// one grows like an infinite queue, up to its occupancy high-water mark.
 func (q *reqRing) push(r *request, at float64) {
 	if q.n == len(q.buf) {
 		q.grow()
@@ -61,10 +62,15 @@ func (q *reqRing) grow() {
 	q.head = 0
 }
 
-// reserve pre-sizes the ring to hold at least c entries without growing.
+// ringReserveMax caps reserve: a deep finite queue costs the memory its
+// occupancy needs, not the memory its capacity allows.
+const ringReserveMax = 64
+
+// reserve pre-sizes the ring to hold min(c, ringReserveMax) entries
+// without growing.
 func (q *reqRing) reserve(c int) {
 	size := 1
-	for size < c {
+	for size < min(c, ringReserveMax) {
 		size <<= 1
 	}
 	if size > len(q.buf) {

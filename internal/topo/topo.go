@@ -555,7 +555,9 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
 		s.grants = make([]uint64, n)
 		// A station queue holds at most one request when unbuffered and
 		// BufferCap when buffered-finite; sizing its ring up front keeps
-		// the queue path allocation-free.
+		// the queue path allocation-free. reserve stops at
+		// ringReserveMax entries, so a deeper queue grows to its
+		// high-water mark instead.
 		depth := 1
 		if s.cfg.Mode == Buffered {
 			depth = s.cfg.BufferCap
